@@ -9,6 +9,7 @@
 package gpuhms_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -324,7 +325,7 @@ func BenchmarkAdvisorRank(b *testing.B) {
 	sample, _ := spec.SamplePlacement(tr)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := adv.Rank(tr, sample); err != nil {
+		if _, err := adv.RankPlacements(context.Background(), tr, sample, gpuhms.RankOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

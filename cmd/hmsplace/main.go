@@ -46,7 +46,7 @@
 // (the default) enumerates the whole m^n legal space; greedy and beam-W
 // evaluate a small subset chosen by the model. Sub-exhaustive rankings list
 // only the candidates the strategy evaluated, and -json attaches their
-// coverage. -greedy is a deprecated alias for -full -strategy greedy -top 1.
+// coverage.
 //
 // Searches are bounded: -timeout aborts profiling and search after a wall
 // clock limit, -budget caps model evaluations, -top keeps only the K best
@@ -127,7 +127,6 @@ func main() {
 		sample   = flag.String("sample", "", "sample placement override, e.g. \"a:G,b:T\" (default: the kernel's)")
 		target   = flag.String("target", "", "predict only this placement instead of ranking")
 		full     = flag.Bool("full", false, "rank the full legal placement space instead of single-array moves")
-		greedy   = flag.Bool("greedy", false, "deprecated: alias for -full -strategy greedy -top 1")
 		strategy = flag.String("strategy", "", "search strategy for -full: exhaustive (default), greedy, or beam-W (docs/SEARCH.md)")
 		explain  = flag.Bool("explain", false, "print the Eq 1 breakdown of the top-ranked placement")
 		measure  = flag.Bool("measure", false, "also run the simulator on every candidate for comparison")
@@ -204,18 +203,6 @@ func main() {
 	if *jsonOut && *explain {
 		log.Fatal("-json supports the ranking modes only (not -explain)")
 	}
-	if *greedy {
-		// Deprecated alias: route the old greedy mode through the unified
-		// ranking path so -top/-measure/-json behave like every other mode.
-		fmt.Fprintln(os.Stderr, "hmsplace: -greedy is deprecated; use -full -strategy greedy")
-		*full = true
-		if *strategy == "" {
-			*strategy = "greedy"
-		}
-		if *top == 0 {
-			*top = 1
-		}
-	}
 	strat, err := advisor.ParseStrategy(*strategy)
 	if err != nil {
 		log.Fatal(err)
@@ -225,8 +212,8 @@ func main() {
 	}
 	if *fleetSpec != "" {
 		switch {
-		case *kernel != "" || *target != "" || *full || *greedy || *strategy != "":
-			log.Fatal("-fleet is a mode of its own: drop -kernel/-target/-full/-greedy/-strategy")
+		case *kernel != "" || *target != "" || *full || *strategy != "":
+			log.Fatal("-fleet is a mode of its own: drop -kernel/-target/-full/-strategy")
 		case *measure || *explain:
 			log.Fatal("-measure and -explain apply to single-kernel rankings only")
 		}

@@ -45,14 +45,14 @@ func TestAdvisorConcurrentUse(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ranked, err := adv.RankContext(context.Background(), tr, sample,
+			res, err := adv.RankPlacements(context.Background(), tr, sample,
 				gpuhms.RankOptions{MaxCandidates: 3, TopK: 2})
 			if err != nil && !errors.Is(err, gpuhms.ErrBudgetExceeded) {
 				errCh <- err
 				return
 			}
-			if len(ranked) == 0 {
-				errCh <- errors.New("empty ranking from concurrent RankContext")
+			if res == nil || len(res.Ranked) == 0 {
+				errCh <- errors.New("empty ranking from concurrent RankPlacements")
 			}
 		}()
 

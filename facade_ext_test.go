@@ -2,6 +2,7 @@ package gpuhms
 
 import (
 	"bytes"
+	"context"
 	"testing"
 )
 
@@ -25,21 +26,21 @@ func TestAdvisorSaveLoadRoundTrip(t *testing.T) {
 	spec, _ := Kernel("convolution")
 	tr := spec.Trace(1)
 	sample, _ := spec.SamplePlacement(tr)
-	r1, err := adv.Rank(tr, sample)
+	r1, err := adv.RankPlacements(context.Background(), tr, sample, RankOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := loaded.Rank(tr, sample)
+	r2, err := loaded.RankPlacements(context.Background(), tr, sample, RankOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r1) != len(r2) {
-		t.Fatalf("rank lengths differ: %d vs %d", len(r1), len(r2))
+	if len(r1.Ranked) != len(r2.Ranked) {
+		t.Fatalf("rank lengths differ: %d vs %d", len(r1.Ranked), len(r2.Ranked))
 	}
-	for i := range r1 {
-		if r1[i].PredictedNS != r2[i].PredictedNS {
+	for i := range r1.Ranked {
+		if r1.Ranked[i].PredictedNS != r2.Ranked[i].PredictedNS {
 			t.Fatalf("prediction %d differs after reload: %g vs %g",
-				i, r1[i].PredictedNS, r2[i].PredictedNS)
+				i, r1.Ranked[i].PredictedNS, r2.Ranked[i].PredictedNS)
 		}
 	}
 
@@ -53,8 +54,9 @@ func TestAdvisorSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestGreedyAgreesWithExhaustiveTop exercises BestGreedy and requires its
-// pick to be competitive with the exhaustive ranking's best.
+// TestGreedyAgreesWithExhaustiveTop exercises the greedy strategy through
+// the facade and requires its pick to be competitive with the exhaustive
+// ranking's best.
 func TestGreedyAgreesWithExhaustiveTop(t *testing.T) {
 	cfg := MustLookupArch("k80")
 	adv, err := NewAdvisor(cfg)
@@ -65,16 +67,19 @@ func TestGreedyAgreesWithExhaustiveTop(t *testing.T) {
 	tr := spec.Trace(1)
 	sample, _ := spec.SamplePlacement(tr)
 
-	ranked, err := adv.Rank(tr, sample)
+	ex, err := adv.RankPlacements(context.Background(), tr, sample, RankOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	best, evals, err := adv.BestGreedy(tr, sample)
+	ranked := ex.Ranked
+	gr, err := adv.RankPlacements(context.Background(), tr, sample,
+		RankOptions{TopK: 1, Strategy: GreedyStrategy()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if evals <= 0 || evals >= len(ranked) {
-		t.Errorf("greedy used %d evals vs %d exhaustive", evals, len(ranked))
+	best := gr.Ranked[0]
+	if gr.Evaluated <= 0 || gr.Evaluated >= len(ranked) {
+		t.Errorf("greedy used %d evals vs %d exhaustive", gr.Evaluated, len(ranked))
 	}
 	// Greedy may land in a local optimum, but within 10% of the global
 	// predicted best for this separable-ish workload.
@@ -98,10 +103,11 @@ func TestFermiEndToEnd(t *testing.T) {
 	spec, _ := Kernel("neuralnet")
 	tr := spec.Trace(1)
 	sample, _ := spec.SamplePlacement(tr)
-	ranked, err := adv.Rank(tr, sample)
+	res, err := adv.RankPlacements(context.Background(), tr, sample, RankOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ranked := res.Ranked
 	if len(ranked) == 0 || ranked[0].PredictedNS <= 0 {
 		t.Fatal("no usable Fermi predictions")
 	}

@@ -32,10 +32,8 @@
 //
 // RankPlacements is the single rank entry point: a context for
 // cancellation, RankOptions for bounds (TopK, MaxCandidates, Parallelism)
-// and the search strategy (Exhaustive, Greedy, Beam — docs/SEARCH.md), and
-// a RankResult carrying the ranking plus its coverage. The older Rank,
-// RankContext, BestGreedy, and BestGreedyContext helpers remain as
-// deprecated wrappers around it.
+// and the search strategy (Exhaustive, GreedyStrategy, Beam —
+// docs/SEARCH.md), and a RankResult carrying the ranking plus its coverage.
 package gpuhms
 
 import (
@@ -124,9 +122,8 @@ func MustLookupArch(name string) *Config { return gpu.MustLookup(name) }
 // architecture.
 func ArchNames() []string { return gpu.Names() }
 
-// NewAdvisorForArch trains an advisor for a registry architecture: the
-// one-call replacement for NewAdvisor(KeplerK80()) that works for every
-// registered name or alias.
+// NewAdvisorForArch trains an advisor for a registry architecture, resolved
+// by any registered name or alias: NewAdvisor(LookupArch(name)) in one call.
 func NewAdvisorForArch(name string) (*Advisor, error) {
 	cfg, err := gpu.Lookup(name)
 	if err != nil {
@@ -134,18 +131,6 @@ func NewAdvisorForArch(name string) (*Advisor, error) {
 	}
 	return advisor.New(cfg)
 }
-
-// KeplerK80 returns the default Tesla-K80-like architecture.
-//
-// Compatibility wrapper: new code should resolve architectures through the
-// registry (LookupArch("k80")), which validates the profile and accepts
-// aliases.
-func KeplerK80() *Config { return gpu.KeplerK80() }
-
-// FermiC2050 returns a Tesla-C2050-like (Fermi) architecture.
-//
-// Compatibility wrapper: new code should use LookupArch("fermi").
-func FermiC2050() *Config { return gpu.FermiC2050() }
 
 // MemSpace identifies one programmable memory component of the HMS.
 type MemSpace = gpu.MemSpace

@@ -1,6 +1,7 @@
 package gpuhms
 
 import (
+	"context"
 	"sort"
 	"testing"
 )
@@ -21,10 +22,11 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ranked, err := adv.Rank(tr, sample)
+	res, err := adv.RankPlacements(context.Background(), tr, sample, RankOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ranked := res.Ranked
 	if len(ranked) != len(EnumeratePlacements(tr, cfg)) {
 		t.Errorf("ranked %d of %d placements", len(ranked), len(EnumeratePlacements(tr, cfg)))
 	}

@@ -156,9 +156,7 @@ type RankOptions struct {
 // RankPlacements profiles the sample placement, searches the legal placement
 // space of the trace under opt, and returns the kept candidates
 // fastest-first together with the search's coverage (strategy, evaluated,
-// pruned, total). It is the advisor's one ranking entry point; Rank,
-// RankContext, BestGreedy, and BestGreedyContext are deprecated wrappers
-// around it.
+// pruned, total). It is the advisor's one ranking entry point.
 //
 // A canceled context aborts the profiling run and the search promptly and
 // returns ctx.Err(). The placement space is streamed, so only the kept
@@ -184,29 +182,6 @@ func (a *Advisor) RankPlacements(ctx context.Context, t *trace.Trace, sample *pl
 		return nil, err
 	}
 	return Search(ctx, a.Cfg, t, pr, opt, a.rec())
-}
-
-// Rank profiles the sample placement on the simulator, predicts every legal
-// placement of the trace, and returns them fastest-first.
-//
-// Deprecated: use RankPlacements, which adds cancellation, strategy
-// selection, and coverage reporting. Rank remains as a thin wrapper and
-// behaves exactly as before.
-func (a *Advisor) Rank(t *trace.Trace, sample *placement.Placement) ([]Ranked, error) {
-	return a.RankContext(context.Background(), t, sample, RankOptions{})
-}
-
-// RankContext is Rank with cancellation, budgets, and optional parallelism.
-//
-// Deprecated: use RankPlacements, which additionally reports the search's
-// strategy, pruning, and coverage. RankContext remains as a thin wrapper
-// returning just the ranked slice.
-func (a *Advisor) RankContext(ctx context.Context, t *trace.Trace, sample *placement.Placement, opt RankOptions) ([]Ranked, error) {
-	res, err := a.RankPlacements(ctx, t, sample, opt)
-	if res == nil {
-		return nil, err
-	}
-	return res.Ranked, err
 }
 
 // Predictor profiles the sample placement and returns a predictor for
@@ -264,36 +239,4 @@ func (a *Advisor) MeasureOnContext(ctx context.Context, t *trace.Trace, sample, 
 // as JSON, tagged with the architecture name.
 func (a *Advisor) Save(w io.Writer) error {
 	return a.Model.Save(w, a.Cfg.Name)
-}
-
-// BestGreedy finds a good placement by greedy single-array moves instead of
-// enumerating the m^n space. Returns the placement, its predicted time, and
-// the number of model evaluations spent.
-//
-// Deprecated: use RankPlacements with RankOptions{Strategy: Greedy(),
-// TopK: 1}; RankResult carries the same evaluation count as Evaluated.
-// BestGreedy remains as a thin wrapper routed through it.
-func (a *Advisor) BestGreedy(t *trace.Trace, sample *placement.Placement) (Ranked, int, error) {
-	return a.BestGreedyContext(context.Background(), t, sample, 0)
-}
-
-// BestGreedyContext is BestGreedy with cancellation and an optional model
-// evaluation budget (maxEvals <= 0 means unlimited). When the budget runs
-// out, the best placement found so far is returned together with an error
-// wrapping ErrBudgetExceeded.
-//
-// Deprecated: use RankPlacements with RankOptions{Strategy: Greedy(),
-// TopK: 1, MaxCandidates: maxEvals}. BestGreedyContext remains as a thin
-// wrapper routed through it.
-func (a *Advisor) BestGreedyContext(ctx context.Context, t *trace.Trace, sample *placement.Placement, maxEvals int) (Ranked, int, error) {
-	res, err := a.RankPlacements(ctx, t, sample, RankOptions{
-		TopK: 1, MaxCandidates: maxEvals, Strategy: Greedy(),
-	})
-	if res == nil {
-		return Ranked{}, 0, err
-	}
-	if len(res.Ranked) == 0 {
-		return Ranked{}, res.Evaluated, err
-	}
-	return res.Ranked[0], res.Evaluated, err
 }

@@ -45,7 +45,7 @@ func BenchmarkRankParallel(b *testing.B) {
 		b.Run("workers="+itoa(workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := RankPredictor(context.Background(), a.Cfg, tr, pr,
+				if _, err := Search(context.Background(), a.Cfg, tr, pr,
 					RankOptions{TopK: 10, Parallelism: workers}, nil); err != nil {
 					b.Fatal(err)
 				}
@@ -129,7 +129,7 @@ func TestBenchRankArtifact(t *testing.T) {
 
 	timeRank := func(tr *trace.Trace, sample *placement.Placement, parallelism int) time.Duration {
 		start := time.Now()
-		if _, err := a.RankContext(ctx, tr, sample, RankOptions{TopK: 10, Parallelism: parallelism}); err != nil {
+		if _, err := a.RankPlacements(ctx, tr, sample, RankOptions{TopK: 10, Parallelism: parallelism}); err != nil {
 			t.Fatal(err)
 		}
 		return time.Since(start)

@@ -433,17 +433,3 @@ func Search(ctx context.Context, cfg *gpu.Config, t *trace.Trace, pr *core.Predi
 	}
 	return res, nil
 }
-
-// RankPredictor is the legacy engine entry point: Search flattened to the
-// ranked slice.
-//
-// Deprecated: use Search, which also reports the strategy, pruning, and
-// coverage of the run; RankPredictor remains for callers that only need the
-// ranking.
-func RankPredictor(ctx context.Context, cfg *gpu.Config, t *trace.Trace, pr *core.Predictor, opt RankOptions, rec obs.Recorder) ([]Ranked, error) {
-	res, err := Search(ctx, cfg, t, pr, opt, rec)
-	if res == nil {
-		return nil, err
-	}
-	return res.Ranked, err
-}

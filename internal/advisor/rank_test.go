@@ -56,15 +56,17 @@ func TestRankParallelDeterminism(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		for _, topK := range []int{0, 3} {
-			base, err := RankPredictor(ctx, a.Cfg, tr, pr, RankOptions{TopK: topK, Parallelism: 1}, nil)
+			baseRes, err := Search(ctx, a.Cfg, tr, pr, RankOptions{TopK: topK, Parallelism: 1}, nil)
 			if err != nil {
 				t.Fatalf("%s sequential: %v", name, err)
 			}
+			base := baseRes.Ranked
 			for _, workers := range []int{2, 8} {
-				got, err := RankPredictor(ctx, a.Cfg, tr, pr, RankOptions{TopK: topK, Parallelism: workers}, nil)
+				res, err := Search(ctx, a.Cfg, tr, pr, RankOptions{TopK: topK, Parallelism: workers}, nil)
 				if err != nil {
 					t.Fatalf("%s workers=%d: %v", name, workers, err)
 				}
+				got := res.Ranked
 				if len(got) != len(base) {
 					t.Fatalf("%s workers=%d topK=%d: %d ranked, want %d",
 						name, workers, topK, len(got), len(base))
@@ -101,7 +103,7 @@ func TestRankParallelBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := obs.NewCollector()
-	ranked, err := RankPredictor(ctx, a.Cfg, tr, pr,
+	res, err := Search(ctx, a.Cfg, tr, pr,
 		RankOptions{MaxCandidates: 5, Parallelism: 4}, rec)
 	if !errors.Is(err, hmserr.ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want budget exceeded", err)
@@ -114,8 +116,8 @@ func TestRankParallelBudget(t *testing.T) {
 	if be.Evaluated != 5 || be.Total != total {
 		t.Errorf("coverage = %d/%d, want 5/%d", be.Evaluated, be.Total, total)
 	}
-	if len(ranked) != 5 {
-		t.Errorf("ranked %d placements, want 5", len(ranked))
+	if res == nil || len(res.Ranked) != 5 {
+		t.Errorf("partial result %+v, want 5 ranked placements", res)
 	}
 	last := rec.Snapshot().Search
 	if last == nil || !last.Done || last.Evaluated != 5 || last.Total != total {
@@ -139,12 +141,12 @@ func TestRankParallelPreCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	ranked, err := RankPredictor(ctx, a.Cfg, tr, pr, RankOptions{Parallelism: 4}, nil)
+	res, err := Search(ctx, a.Cfg, tr, pr, RankOptions{Parallelism: 4}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if ranked != nil {
-		t.Errorf("canceled rank returned %d placements", len(ranked))
+	if res != nil {
+		t.Errorf("canceled rank returned %d placements", len(res.Ranked))
 	}
 }
 
@@ -182,7 +184,7 @@ func TestRankParallelWhileServing(t *testing.T) {
 			}
 		}()
 	}
-	if _, err := a.RankContext(ctx, tr, sample, RankOptions{TopK: 5, Parallelism: 4}); err != nil {
+	if _, err := a.RankPlacements(ctx, tr, sample, RankOptions{TopK: 5, Parallelism: 4}); err != nil {
 		t.Error(err)
 	}
 	wg.Wait()

@@ -243,53 +243,6 @@ func TestParseStrategy(t *testing.T) {
 	}
 }
 
-// TestDeprecatedWrappersRoute pins that the legacy surface is a pure
-// veneer: Rank equals an exhaustive RankPlacements, and BestGreedy equals a
-// greedy top-1 RankPlacements.
-func TestDeprecatedWrappersRoute(t *testing.T) {
-	a := testAdvisor(t)
-	k := kernels.MustGet("kmeans")
-	tr := k.Trace(1)
-	sample, err := k.SamplePlacement(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := a.RankPlacements(context.Background(), tr, sample, RankOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	old, err := a.Rank(tr, sample)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(old) != len(res.Ranked) {
-		t.Fatalf("Rank: %d rows, RankPlacements: %d", len(old), len(res.Ranked))
-	}
-	for i := range old {
-		if old[i].Index != res.Ranked[i].Index || old[i].PredictedNS != res.Ranked[i].PredictedNS {
-			t.Fatalf("Rank row %d = {%v %d}, want {%v %d}", i,
-				old[i].PredictedNS, old[i].Index, res.Ranked[i].PredictedNS, res.Ranked[i].Index)
-		}
-	}
-
-	gres, err := a.RankPlacements(context.Background(), tr, sample,
-		RankOptions{TopK: 1, Strategy: Greedy()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	best, evals, err := a.BestGreedy(tr, sample)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best.Index != gres.Ranked[0].Index || best.PredictedNS != gres.Ranked[0].PredictedNS {
-		t.Errorf("BestGreedy = {%v %d}, want {%v %d}",
-			best.PredictedNS, best.Index, gres.Ranked[0].PredictedNS, gres.Ranked[0].Index)
-	}
-	if evals != gres.Evaluated {
-		t.Errorf("BestGreedy evals = %d, want %d", evals, gres.Evaluated)
-	}
-}
-
 // TestMixedStrategyRace hammers one shared Advisor with concurrent searches
 // under different strategies and worker counts — the service's steady state.
 // Meaningful under -race; also asserts each search's determinism envelope

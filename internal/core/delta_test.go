@@ -43,90 +43,105 @@ func mustEqualPrediction(t *testing.T, kernel, what string, got, want *Predictio
 // TestDeltaEquivalence pins the tentpole invariant: PredictDelta returns a
 // byte-identical Prediction — the full struct, including the embedded
 // Analysis — to Predict and to the cache-bypassing PredictFull, for every
-// bundled kernel, across every legal single-array move from the sample and
-// along a seeded random walk. A chained check re-evaluates the walk's final
-// placement on a fresh predictor, so drift accumulated across N deltas (or
-// contamination through shared cache state) cannot hide.
+// bundled kernel on every registered arch, across every legal single-array
+// move from the sample and along a seeded random walk. A chained check
+// re-evaluates the walk's final placement on a fresh predictor, so drift
+// accumulated across N deltas (or contamination through shared cache state)
+// cannot hide. The chiplet arch routes local/remote spaces and interposer
+// retargeting through the delta path. Under -race the arches beyond k80 run
+// only on archSweepKernels' subset.
 func TestDeltaEquivalence(t *testing.T) {
-	cfg := gpu.KeplerK80()
+	swept := map[string]bool{}
+	for _, name := range archSweepKernels() {
+		swept[name] = true
+	}
 	for _, name := range kernels.Names() {
 		name := name
+		arches := gpu.Names()
+		if !swept[name] {
+			arches = []string{"k80"}
+		}
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			spec := kernels.MustGet(name)
-			tr := spec.Trace(1)
-			sample, err := spec.SamplePlacement(tr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m := NewModel(cfg, FullOptions())
-			pr, err := NewPredictor(m, tr, sample, profile(t, cfg, tr, sample))
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			// Every legal single-array move from the sample.
-			root := pr.SampleState()
-			arrays, spaces := legalMoves(tr, cfg, sample)
-			for i := range arrays {
-				target := sample.WithMove(trace.ArrayID(arrays[i]), spaces[i])
-				dp, _, err := pr.PredictDelta(root, arrays[i], spaces[i])
-				if err != nil {
-					t.Fatal(err)
-				}
-				fp, err := pr.Predict(target)
-				if err != nil {
-					t.Fatal(err)
-				}
-				mustEqualPrediction(t, name, "delta "+target.Format(tr), dp, fp)
-				if i == 0 {
-					up, err := pr.PredictFull(target)
+			for _, arch := range arches {
+				cfg := gpu.MustLookup(arch)
+				t.Run(arch, func(t *testing.T) {
+					spec := kernels.MustGet(name)
+					tr := spec.Trace(1)
+					sample, err := spec.SamplePlacement(tr)
 					if err != nil {
 						t.Fatal(err)
 					}
-					mustEqualPrediction(t, name, "uncached "+target.Format(tr), up, fp)
-				}
-			}
+					m := NewModel(cfg, FullOptions())
+					pr, err := NewPredictor(m, tr, sample, profile(t, cfg, tr, sample))
+					if err != nil {
+						t.Fatal(err)
+					}
 
-			// Seeded random walk of chained deltas, each step checked against
-			// a full evaluation on the same predictor.
-			rng := rand.New(rand.NewSource(9))
-			st := root
-			for step := 0; step < 12; step++ {
-				cur := st.Placement()
-				arrays, spaces := legalMoves(tr, cfg, cur)
-				if len(arrays) == 0 {
-					break
-				}
-				i := rng.Intn(len(arrays))
-				dp, next, err := pr.PredictDelta(st, arrays[i], spaces[i])
-				if err != nil {
-					t.Fatal(err)
-				}
-				target := cur.WithMove(trace.ArrayID(arrays[i]), spaces[i])
-				fp, err := pr.Predict(target)
-				if err != nil {
-					t.Fatal(err)
-				}
-				mustEqualPrediction(t, name, "walk step", dp, fp)
-				st = next
-			}
+					// Every legal single-array move from the sample.
+					root := pr.SampleState()
+					arrays, spaces := legalMoves(tr, cfg, sample)
+					for i := range arrays {
+						target := sample.WithMove(trace.ArrayID(arrays[i]), spaces[i])
+						dp, _, err := pr.PredictDelta(root, arrays[i], spaces[i])
+						if err != nil {
+							t.Fatal(err)
+						}
+						fp, err := pr.Predict(target)
+						if err != nil {
+							t.Fatal(err)
+						}
+						mustEqualPrediction(t, name, "delta "+target.Format(tr), dp, fp)
+						if i == 0 {
+							up, err := pr.PredictFull(target)
+							if err != nil {
+								t.Fatal(err)
+							}
+							mustEqualPrediction(t, name, "uncached "+target.Format(tr), up, fp)
+						}
+					}
 
-			// Chained-delta drift check: the walk's final placement evaluated
-			// by a predictor that has never seen any intermediate state.
-			fresh, err := NewPredictor(m, tr, sample, SampleProfile{TimeNS: pr.profile.TimeNS, Events: pr.profile.Events})
-			if err != nil {
-				t.Fatal(err)
+					// Seeded random walk of chained deltas, each step checked against
+					// a full evaluation on the same predictor.
+					rng := rand.New(rand.NewSource(9))
+					st := root
+					for step := 0; step < 12; step++ {
+						cur := st.Placement()
+						arrays, spaces := legalMoves(tr, cfg, cur)
+						if len(arrays) == 0 {
+							break
+						}
+						i := rng.Intn(len(arrays))
+						dp, next, err := pr.PredictDelta(st, arrays[i], spaces[i])
+						if err != nil {
+							t.Fatal(err)
+						}
+						target := cur.WithMove(trace.ArrayID(arrays[i]), spaces[i])
+						fp, err := pr.Predict(target)
+						if err != nil {
+							t.Fatal(err)
+						}
+						mustEqualPrediction(t, name, "walk step", dp, fp)
+						st = next
+					}
+
+					// Chained-delta drift check: the walk's final placement evaluated
+					// by a predictor that has never seen any intermediate state.
+					fresh, err := NewPredictor(m, tr, sample, SampleProfile{TimeNS: pr.profile.TimeNS, Events: pr.profile.Events})
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := fresh.Predict(st.Placement())
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := pr.Predict(st.Placement())
+					if err != nil {
+						t.Fatal(err)
+					}
+					mustEqualPrediction(t, name, "chained walk end", got, want)
+				})
 			}
-			want, err := fresh.Predict(st.Placement())
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := pr.Predict(st.Placement())
-			if err != nil {
-				t.Fatal(err)
-			}
-			mustEqualPrediction(t, name, "chained walk end", got, want)
 		})
 	}
 }

@@ -34,7 +34,7 @@ func loadKernel(t *testing.T) (*gpuhms.Trace, *gpuhms.Placement) {
 // profiling goes through the given measurer. Training is irrelevant to the
 // robustness properties under test and would dominate the test's runtime.
 func advisorWith(m gpuhms.Measurer) *gpuhms.Advisor {
-	cfg := gpuhms.KeplerK80()
+	cfg := gpuhms.MustLookupArch("k80")
 	return &gpuhms.Advisor{
 		Cfg:      cfg,
 		Model:    gpuhms.NewModel(cfg, gpuhms.FullModelOptions()),
@@ -44,7 +44,7 @@ func advisorWith(m gpuhms.Measurer) *gpuhms.Advisor {
 
 func TestInjectorDeterministic(t *testing.T) {
 	tr, sample := loadKernel(t)
-	cfg := gpuhms.KeplerK80()
+	cfg := gpuhms.MustLookupArch("k80")
 	base := sim.New(cfg)
 	opts := faults.Options{Seed: 42, LatencyNoise: 0.2, CounterNoise: 0.2}
 
@@ -93,7 +93,7 @@ func TestInjectorDeterministic(t *testing.T) {
 
 func TestInjectorZeroOptionsIsTransparent(t *testing.T) {
 	tr, sample := loadKernel(t)
-	cfg := gpuhms.KeplerK80()
+	cfg := gpuhms.MustLookupArch("k80")
 	clean, err := sim.New(cfg).Run(tr, sample, sample)
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +109,7 @@ func TestInjectorZeroOptionsIsTransparent(t *testing.T) {
 
 func TestInjectorPropagatesCancellation(t *testing.T) {
 	tr, sample := loadKernel(t)
-	inj := faults.New(sim.New(gpuhms.KeplerK80()), faults.Options{Seed: 1, LatencyNoise: 0.5})
+	inj := faults.New(sim.New(gpuhms.MustLookupArch("k80")), faults.Options{Seed: 1, LatencyNoise: 0.5})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := inj.RunContext(ctx, tr, sample, sample); !errors.Is(err, context.Canceled) {
@@ -133,12 +133,12 @@ func TestCorruptProfileTypedError(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			adv := advisorWith(faults.New(sim.New(gpuhms.KeplerK80()), tc.opts))
+			adv := advisorWith(faults.New(sim.New(gpuhms.MustLookupArch("k80")), tc.opts))
 			if _, err := adv.Predictor(tr, sample); !errors.Is(err, gpuhms.ErrInvalidProfile) {
 				t.Errorf("Predictor: got %v, want ErrInvalidProfile", err)
 			}
-			if _, err := adv.Rank(tr, sample); !errors.Is(err, gpuhms.ErrInvalidProfile) {
-				t.Errorf("Rank: got %v, want ErrInvalidProfile", err)
+			if _, err := adv.RankPlacements(context.Background(), tr, sample, gpuhms.RankOptions{}); !errors.Is(err, gpuhms.ErrInvalidProfile) {
+				t.Errorf("RankPlacements: got %v, want ErrInvalidProfile", err)
 			}
 		})
 	}
@@ -163,14 +163,15 @@ func TestDegradedCountersNeverGarbage(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			adv := advisorWith(faults.New(sim.New(gpuhms.KeplerK80()), tc.opts))
-			ranked, err := adv.Rank(tr, sample)
+			adv := advisorWith(faults.New(sim.New(gpuhms.MustLookupArch("k80")), tc.opts))
+			res, err := adv.RankPlacements(context.Background(), tr, sample, gpuhms.RankOptions{})
 			if err != nil {
 				if !errors.Is(err, gpuhms.ErrInvalidProfile) {
 					t.Fatalf("degraded advisor failed with an untyped error: %v", err)
 				}
 				return // typed rejection is a valid outcome
 			}
+			ranked := res.Ranked
 			if len(ranked) == 0 {
 				t.Fatal("nil error but empty ranking")
 			}
@@ -195,7 +196,7 @@ func TestDegradedCountersNeverGarbage(t *testing.T) {
 // predictions through the Eq 3 measured-replay term, and spmv's irregular
 // accesses give the sample a large replay count for the noise to act on.
 func TestNoiseSweepDegradesGracefully(t *testing.T) {
-	cfg := gpuhms.KeplerK80()
+	cfg := gpuhms.MustLookupArch("k80")
 	spec, err := gpuhms.Kernel("spmv")
 	if err != nil {
 		t.Fatal(err)

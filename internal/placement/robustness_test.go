@@ -1,7 +1,6 @@
 package placement
 
 import (
-	"context"
 	"errors"
 	"testing"
 
@@ -90,9 +89,9 @@ func TestEnumerateSeqMatchesEnumerate(t *testing.T) {
 	}
 }
 
-// TestEnumerateSeqReusesScratch pins the O(1) enumeration contract RankContext
-// relies on for its O(K) memory bound: every yield hands back the same
-// placement, so keeping a candidate requires an explicit Clone.
+// TestEnumerateSeqReusesScratch pins the O(1) enumeration contract
+// RankPlacements relies on for its O(K) memory bound: every yield hands back
+// the same placement, so keeping a candidate requires an explicit Clone.
 func TestEnumerateSeqReusesScratch(t *testing.T) {
 	tr := testTrace(t)
 	var first *Placement
@@ -120,63 +119,5 @@ func TestEnumerateSeqStopsOnFalse(t *testing.T) {
 	})
 	if yields != 3 {
 		t.Errorf("yield returning false did not stop enumeration: %d yields", yields)
-	}
-}
-
-func countSpaces(tr *trace.Trace, p *Placement) float64 {
-	// A cost that prefers non-global spaces, so searches have a gradient.
-	c := 100.0
-	for _, sp := range p.Spaces {
-		if sp != gpu.Global {
-			c--
-		}
-	}
-	return c
-}
-
-func TestSearchCancellation(t *testing.T) {
-	tr := testTrace(t)
-	cfg := gpu.KeplerK80()
-	cost := func(p *Placement) (float64, error) { return countSpaces(tr, p), nil }
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, _, _, err := GreedySearchContext(ctx, tr, cfg, New(len(tr.Arrays)), cost, 0); !errors.Is(err, context.Canceled) {
-		t.Errorf("greedy on canceled ctx: %v, want context.Canceled", err)
-	}
-	if _, _, _, err := ExhaustiveSearchContext(ctx, tr, cfg, cost, 0); !errors.Is(err, context.Canceled) {
-		t.Errorf("exhaustive on canceled ctx: %v, want context.Canceled", err)
-	}
-}
-
-func TestSearchBudgetReturnsPartial(t *testing.T) {
-	tr := testTrace(t)
-	cfg := gpu.KeplerK80()
-	cost := func(p *Placement) (float64, error) { return countSpaces(tr, p), nil }
-	ctx := context.Background()
-
-	pl, _, evals, err := GreedySearchContext(ctx, tr, cfg, New(len(tr.Arrays)), cost, 3)
-	if !errors.Is(err, hmserr.ErrBudgetExceeded) {
-		t.Fatalf("greedy budget err = %v, want ErrBudgetExceeded", err)
-	}
-	if pl == nil || evals != 3 {
-		t.Errorf("greedy partial: placement %v after %d evals", pl, evals)
-	}
-
-	pl, _, evals, err = ExhaustiveSearchContext(ctx, tr, cfg, cost, 4)
-	if !errors.Is(err, hmserr.ErrBudgetExceeded) {
-		t.Fatalf("exhaustive budget err = %v, want ErrBudgetExceeded", err)
-	}
-	if pl == nil || evals != 4 {
-		t.Errorf("exhaustive partial: placement %v after %d evals", pl, evals)
-	}
-
-	// Unlimited budget must agree with the plain search and report no error.
-	want, wantCost, _, err := ExhaustiveSearch(tr, cfg, cost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, gotCost, _, err := ExhaustiveSearchContext(ctx, tr, cfg, cost, 0)
-	if err != nil || gotCost != wantCost || !got.Equal(want) {
-		t.Errorf("unbudgeted context search disagrees: %v %v %v", got, gotCost, err)
 	}
 }

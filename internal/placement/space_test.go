@@ -196,3 +196,11 @@ func TestSpaceIndexOf(t *testing.T) {
 		t.Error("IndexOf accepted a placement of the wrong arity")
 	}
 }
+
+func TestCountLegalMatchesEnumerate(t *testing.T) {
+	tr := testTrace(t)
+	cfg := gpu.KeplerK80()
+	if got, want := CountLegal(tr, cfg), len(Enumerate(tr, cfg)); got != want {
+		t.Errorf("CountLegal = %d, Enumerate yields %d", got, want)
+	}
+}

@@ -10,7 +10,7 @@ import (
 )
 
 // TestRankBudgetProgressSurvivesInSnapshot pins the observability contract
-// for budget-limited searches: when RankContext returns ErrBudgetExceeded,
+// for budget-limited searches: when RankPlacements returns ErrBudgetExceeded,
 // the collector's snapshot carries how many placements were evaluated
 // versus how many the legal space holds, and the error message names both.
 func TestRankBudgetProgressSurvivesInSnapshot(t *testing.T) {
@@ -28,7 +28,7 @@ func TestRankBudgetProgressSurvivesInSnapshot(t *testing.T) {
 	}
 	total := len(EnumeratePlacements(tr, adv.Cfg))
 
-	_, err = adv.RankContext(context.Background(), tr, sample, RankOptions{MaxCandidates: 2})
+	_, err = adv.RankPlacements(context.Background(), tr, sample, RankOptions{MaxCandidates: 2})
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("got %v, want ErrBudgetExceeded", err)
 	}
@@ -67,10 +67,11 @@ func TestCollectorEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ranked, err := adv.Rank(tr, sample)
+	res, err := adv.RankPlacements(context.Background(), tr, sample, RankOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ranked := res.Ranked
 	if len(ranked) == 0 {
 		t.Fatal("empty ranking")
 	}
@@ -131,7 +132,8 @@ func TestCollectorEndToEnd(t *testing.T) {
 }
 
 // TestAdvisorWithoutRecorderUnchanged: attaching a collector must not
-// change the ranking itself.
+// change the ranking itself, under any strategy, and the collector's final
+// progress report must match the result's coverage.
 func TestAdvisorWithoutRecorderUnchanged(t *testing.T) {
 	spec, err := Kernel("triad")
 	if err != nil {
@@ -144,21 +146,33 @@ func TestAdvisorWithoutRecorderUnchanged(t *testing.T) {
 	}
 	bare := untrainedAdvisor()
 	instrumented := untrainedAdvisor()
-	instrumented.Recorder = NewCollector()
-	r1, err := bare.Rank(tr, sample)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := instrumented.Rank(tr, sample)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r1) != len(r2) {
-		t.Fatalf("ranking lengths differ: %d vs %d", len(r1), len(r2))
-	}
-	for i := range r1 {
-		if r1[i].PredictedNS != r2[i].PredictedNS || !r1[i].Placement.Equal(r2[i].Placement) {
-			t.Fatalf("rank %d differs with recorder attached", i)
+	for _, strat := range []Strategy{Exhaustive(), GreedyStrategy()} {
+		col := NewCollector()
+		instrumented.Recorder = col
+		opt := RankOptions{Strategy: strat}
+		r1, err := bare.RankPlacements(context.Background(), tr, sample, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r2, err := instrumented.RankPlacements(context.Background(), tr, sample, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(r1.Ranked) != len(r2.Ranked) || r1.Evaluated != r2.Evaluated {
+			t.Fatalf("%s: rankings differ: %d rows/%d evals vs %d/%d", strat.Spec(),
+				len(r1.Ranked), r1.Evaluated, len(r2.Ranked), r2.Evaluated)
+		}
+		for i := range r1.Ranked {
+			if r1.Ranked[i].PredictedNS != r2.Ranked[i].PredictedNS ||
+				!r1.Ranked[i].Placement.Equal(r2.Ranked[i].Placement) {
+				t.Fatalf("%s: rank %d differs with recorder attached", strat.Spec(), i)
+			}
+		}
+		p := col.Snapshot().Search
+		if p == nil || !p.Done || p.Strategy != strat.Spec() || p.Evaluated != r2.Evaluated ||
+			p.Total != r2.Total || p.BestNS != r2.Ranked[0].PredictedNS {
+			t.Errorf("%s: final progress = %+v, want done at %d/%d best %g", strat.Spec(),
+				p, r2.Evaluated, r2.Total, r2.Ranked[0].PredictedNS)
 		}
 	}
 }

@@ -17,9 +17,9 @@ func untrainedAdvisor() *Advisor {
 }
 
 // TestRankContextCancelsPromptly pins the acceptance criterion: canceling
-// RankContext returns ctx.Err() within 100ms even while the profiling
-// simulation of a large kernel is in flight. mriq at scale 2 simulates for
-// ~200ms of wall clock here, so the 5ms cancel lands mid-run.
+// RankPlacements' context returns ctx.Err() within 100ms even while the
+// profiling simulation of a large kernel is in flight. mriq at scale 2
+// simulates for ~200ms of wall clock here, so the 5ms cancel lands mid-run.
 func TestRankContextCancelsPromptly(t *testing.T) {
 	adv := untrainedAdvisor()
 	spec, err := Kernel("mriq")
@@ -38,13 +38,13 @@ func TestRankContextCancelsPromptly(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	ranked, err := adv.RankContext(ctx, tr, sample, RankOptions{})
+	res, err := adv.RankPlacements(ctx, tr, sample, RankOptions{})
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
-	if ranked != nil {
-		t.Error("canceled RankContext returned partial results without a budget error")
+	if res != nil {
+		t.Error("canceled RankPlacements returned partial results without a budget error")
 	}
 	if elapsed > 5*time.Millisecond+100*time.Millisecond {
 		t.Errorf("cancellation took %v, want < 100ms after cancel", elapsed)
@@ -54,17 +54,17 @@ func TestRankContextCancelsPromptly(t *testing.T) {
 	done, cancel2 := context.WithCancel(context.Background())
 	cancel2()
 	start = time.Now()
-	if _, err := adv.RankContext(done, tr, sample, RankOptions{}); !errors.Is(err, context.Canceled) {
+	if _, err := adv.RankPlacements(done, tr, sample, RankOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled ctx: got %v", err)
 	}
 	if e := time.Since(start); e > 100*time.Millisecond {
-		t.Errorf("pre-canceled RankContext took %v", e)
+		t.Errorf("pre-canceled RankPlacements took %v", e)
 	}
 }
 
 // TestRankTopKAgreesWithFullRank pins the budget-K acceptance criterion on
 // every bundled kernel: TopK ranking keeps at most K entries, stays sorted,
-// and its winner is the unbudgeted Rank winner.
+// and its winner is the unbudgeted ranking's winner.
 func TestRankTopKAgreesWithFullRank(t *testing.T) {
 	adv := untrainedAdvisor()
 	const k = 3
@@ -79,14 +79,15 @@ func TestRankTopKAgreesWithFullRank(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			full, err := adv.Rank(tr, sample)
+			fullRes, err := adv.RankPlacements(context.Background(), tr, sample, RankOptions{})
 			if err != nil {
-				t.Fatalf("Rank: %v", err)
+				t.Fatalf("full ranking: %v", err)
 			}
-			topk, err := adv.RankContext(context.Background(), tr, sample, RankOptions{TopK: k})
+			topkRes, err := adv.RankPlacements(context.Background(), tr, sample, RankOptions{TopK: k})
 			if err != nil {
-				t.Fatalf("RankContext TopK: %v", err)
+				t.Fatalf("TopK ranking: %v", err)
 			}
+			full, topk := fullRes.Ranked, topkRes.Ranked
 			if len(topk) > k {
 				t.Fatalf("TopK=%d kept %d entries", k, len(topk))
 			}
@@ -123,25 +124,20 @@ func TestRankBudgetReturnsTypedPartial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ranked, err := adv.RankContext(context.Background(), tr, sample, RankOptions{MaxCandidates: 2})
-	if !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("got %v, want ErrBudgetExceeded", err)
-	}
-	if len(ranked) != 2 {
-		t.Fatalf("partial ranking has %d entries, want 2", len(ranked))
-	}
-	for _, r := range ranked {
-		if math.IsNaN(r.PredictedNS) || r.PredictedNS <= 0 {
-			t.Fatalf("insane partial prediction %g", r.PredictedNS)
+	for _, strat := range []Strategy{Exhaustive(), GreedyStrategy()} {
+		res, err := adv.RankPlacements(context.Background(), tr, sample,
+			RankOptions{MaxCandidates: 2, Strategy: strat})
+		if !errors.Is(err, ErrBudgetExceeded) {
+			t.Fatalf("%s: got %v, want ErrBudgetExceeded", strat.Spec(), err)
 		}
-	}
-
-	_, evals, err := adv.BestGreedyContext(context.Background(), tr, sample, 2)
-	if !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("BestGreedyContext: got %v, want ErrBudgetExceeded", err)
-	}
-	if evals != 2 {
-		t.Errorf("BestGreedyContext spent %d evals, want 2", evals)
+		if res == nil || res.Evaluated != 2 || len(res.Ranked) != 2 {
+			t.Fatalf("%s: partial result %+v, want 2 evaluated and ranked", strat.Spec(), res)
+		}
+		for _, r := range res.Ranked {
+			if math.IsNaN(r.PredictedNS) || r.PredictedNS <= 0 {
+				t.Fatalf("%s: insane partial prediction %g", strat.Spec(), r.PredictedNS)
+			}
+		}
 	}
 }
 
@@ -158,7 +154,7 @@ func TestFacadeGuardConvertsPanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = adv.Rank(tr, sample)
+	_, err = adv.RankPlacements(context.Background(), tr, sample, RankOptions{})
 	if err == nil {
 		t.Fatal("nil-model advisor returned no error")
 	}
@@ -187,8 +183,8 @@ func TestAdvisorValidatesConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	adv := &Advisor{Cfg: &bad, Model: NewModel(MustLookupArch("k80"), FullModelOptions())}
-	if _, err := adv.Rank(tr, sample); err == nil {
-		t.Error("Rank under an invalid config returned no error")
+	if _, err := adv.RankPlacements(context.Background(), tr, sample, RankOptions{}); err == nil {
+		t.Error("RankPlacements under an invalid config returned no error")
 	}
 }
 

@@ -1,16 +1,17 @@
 #!/bin/sh
 # verify.sh — the repository's verification gate: vet (plus staticcheck when
-# installed), build, the full test suite under the race detector, the
-# shard-enumerator fuzz seeds under race, a one-pass parallel-ranking
-# benchmark smoke, a short smoke of the observability no-op-overhead
-# contract (the disabled recorder must add zero allocations), a fixed-seed
-# open-loop load smoke (zero 5xx, every response carries its request ID), a
-# short chaos soak (scripts/soak.sh runs the long one), and an end-to-end
-# service smoke covering warm boot, crash/restart recovery,
-# corrupt-snapshot cold boot (docs/ROBUSTNESS.md), and the multi-arch
-# surface — /v1/arches capacity tables and a beam-4 /v1/compare over the
-# chiplet's grown placement space completing under budget with the golden
-# K80-vs-chiplet top-1 divergence (docs/ARCHES.md). Run from the repo root:
+# installed), build, vet and test of the perfbench benchmark module, the full
+# test suite under the race detector, the shard-enumerator fuzz seeds under
+# race, a one-pass parallel-ranking benchmark smoke, a short smoke of the
+# observability no-op-overhead contract (the disabled recorder must add zero
+# allocations), a fixed-seed open-loop load smoke (zero 5xx, every response
+# carries its request ID), a short chaos soak (scripts/soak.sh runs the long
+# one), and an end-to-end service smoke covering warm boot, crash/restart
+# recovery, corrupt-snapshot cold boot (docs/ROBUSTNESS.md), and the
+# multi-arch surface — /v1/arches capacity tables and a beam-4 /v1/compare
+# over the chiplet's grown placement space completing under budget with the
+# golden K80-vs-chiplet top-1 divergence (docs/ARCHES.md). Run from the repo
+# root:
 #
 #   ./scripts/verify.sh
 #
@@ -34,6 +35,13 @@ fi
 
 echo "== go build ./..."
 go build ./...
+
+echo "== perfbench module: vet + test"
+# perfbench (the repository benchmark, BENCHMARK.json) is its own Go module,
+# so the ./... steps never compile it; vet and test it here so a change that
+# breaks the benchmark fails this gate rather than the benchmark run.
+GOWORK=off GOPROXY=off go -C perfbench vet ./...
+GOWORK=off GOPROXY=off go -C perfbench test ./...
 
 echo "== go test -race ./..."
 go test -race ./...
