@@ -125,6 +125,21 @@ func TestStrategyTop1Agreement(t *testing.T) {
 	}
 }
 
+// goldenSpmvTop1NS is the K80 spmv exhaustive top-1 prediction: refactors of
+// the model or the search engine must keep it bit-identical.
+const goldenSpmvTop1NS = 9494.25441100835
+
+// TestGoldenSpmvTop1 pins the golden prediction exactly (float ==).
+func TestGoldenSpmvTop1(t *testing.T) {
+	res, err := searchKernel(t, testAdvisor(t), "spmv", RankOptions{TopK: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Ranked[0].PredictedNS; got != goldenSpmvTop1NS {
+		t.Errorf("k80 spmv exhaustive top-1 %v ns, golden %v", got, goldenSpmvTop1NS)
+	}
+}
+
 // TestStrategyEvaluatesFewer pins the point of sub-exhaustive search: on the
 // largest bundled space (spmv, 288 legal placements) greedy and beam-4
 // evaluate a small fraction of the space.

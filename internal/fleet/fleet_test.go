@@ -157,6 +157,43 @@ func TestBalancedMixUncontended(t *testing.T) {
 	}
 }
 
+// TestMixesNeverWorseThanBaseline runs every bundled mix through both fleet
+// solvers: each result must be capacity-feasible, its objective never worse
+// than the naive independent baseline's, and strictly better on the
+// contended shared-squeeze mix.
+func TestMixesNeverWorseThanBaseline(t *testing.T) {
+	adv := testAdvisor(t)
+	ctx := context.Background()
+	for _, name := range MixNames() {
+		mix, _ := GetMix(name)
+		b := mix.BudgetsOn(adv.Cfg)
+		p, err := NewProblem(ctx, adv, mix.Tenants, Options{Budgets: &b})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, solver := range []Solver{Greedy(), Beam(DefaultBeamWidth)} {
+			res, err := p.Solve(ctx, solver, nil)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, solver.Spec(), err)
+			}
+			for sp := range p.Budgets {
+				if p.Budgets[sp] >= 0 && res.Usage[sp] > p.Budgets[sp] {
+					t.Errorf("%s/%s: usage[%s] = %d exceeds budget %d", name, solver.Spec(),
+						gpu.Spaces[sp].LongString(), res.Usage[sp], p.Budgets[sp])
+				}
+			}
+			if res.Independent.Feasible && res.ObjectiveValue > res.Independent.ObjectiveValue {
+				t.Errorf("%s/%s: objective %.4f worse than naive baseline %.4f",
+					name, solver.Spec(), res.ObjectiveValue, res.Independent.ObjectiveValue)
+			}
+			if name == "shared-squeeze" && res.ObjectiveValue >= res.Independent.ObjectiveValue {
+				t.Errorf("shared-squeeze/%s: objective %.4f does not beat naive baseline %.4f",
+					solver.Spec(), res.ObjectiveValue, res.Independent.ObjectiveValue)
+			}
+		}
+	}
+}
+
 // TestFleetDeterminismAcrossWorkers: the acceptance determinism suite — the
 // whole pipeline (menus built at parallelism 1, 2, 8; then each solver) must
 // produce byte-identical results for every worker count.

@@ -88,17 +88,3 @@ func RegisterServiceMetrics(r *Registry) {
 	r.RegisterHistogram(MetricServiceQueueWaitNS, ServiceLatencyBuckets)
 	r.RegisterHistogram(MetricServiceRequestNS, ServiceLatencyBuckets)
 }
-
-// FineLatencyBuckets returns a 1-2-5 log-spaced bucket layout from 1µs to
-// 10s (in nanoseconds) — fine enough for a load generator's
-// coordinated-omission-safe latency histograms, where the decade-wide
-// ServiceLatencyBuckets would hide a p99 regression inside one bucket.
-func FineLatencyBuckets() []float64 {
-	var out []float64
-	for decade := 1e3; decade <= 1e10; decade *= 10 {
-		for _, m := range []float64{1, 2, 5} {
-			out = append(out, decade*m)
-		}
-	}
-	return out
-}

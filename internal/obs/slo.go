@@ -44,9 +44,12 @@ func SLOQuantileGauge(key string, pct int) string {
 // which is plenty for a p99 estimate; at low rates the time bound governs.
 const sloRingCap = 4096
 
-// sloSample is one recorded request.
+// sloSample is one recorded request. at is its offset from the tracker's
+// epoch, not a time.Time: every ring holds sloRingCap samples, and this
+// makes each 24 bytes instead of 40. Time.Sub still uses the monotonic
+// clock reading.
 type sloSample struct {
-	at time.Time
+	at time.Duration
 	ns float64
 	ok bool // false for 5xx (availability SLO violations)
 }
@@ -68,11 +71,11 @@ func (r *sloRing) add(s sloSample) {
 
 // windowed appends the latencies of samples newer than cutoff to dst and
 // counts total and failed samples.
-func (r *sloRing) windowed(cutoff time.Time, dst []float64) (lat []float64, total, failed int) {
+func (r *sloRing) windowed(cutoff time.Duration, dst []float64) (lat []float64, total, failed int) {
 	lat = dst
 	for i := 0; i < r.n; i++ {
 		s := &r.buf[i]
-		if s.at.Before(cutoff) {
+		if s.at < cutoff {
 			continue
 		}
 		total++
@@ -123,7 +126,8 @@ func (o SLOOptions) withDefaults() SLOOptions {
 // safe for concurrent use; the clock is injectable so windows are testable
 // without sleeping.
 type SLOTracker struct {
-	opt SLOOptions
+	opt   SLOOptions
+	epoch time.Time // sample times are offsets from it
 
 	mu   sync.Mutex
 	keys map[string]*sloRing
@@ -131,7 +135,8 @@ type SLOTracker struct {
 
 // NewSLOTracker returns a tracker with the given options (zero value OK).
 func NewSLOTracker(opt SLOOptions) *SLOTracker {
-	return &SLOTracker{opt: opt.withDefaults(), keys: make(map[string]*sloRing)}
+	opt = opt.withDefaults()
+	return &SLOTracker{opt: opt, epoch: opt.Now(), keys: make(map[string]*sloRing)}
 }
 
 // Targets reports the tracker's effective SLO targets.
@@ -144,7 +149,7 @@ func (t *SLOTracker) Targets() (p99 time.Duration, availability float64) {
 // /metrics can answer both "what is rank's p99" and "what is rank's p99
 // for cache hits".
 func (t *SLOTracker) Record(route, cacheState string, latencyNS float64, ok bool) {
-	s := sloSample{at: t.opt.Now(), ns: latencyNS, ok: ok}
+	s := sloSample{at: t.since(), ns: latencyNS, ok: ok}
 	t.mu.Lock()
 	t.ring(route).add(s)
 	if cacheState != "" {
@@ -152,6 +157,9 @@ func (t *SLOTracker) Record(route, cacheState string, latencyNS float64, ok bool
 	}
 	t.mu.Unlock()
 }
+
+// since is the current time as an offset from the tracker's epoch.
+func (t *SLOTracker) since() time.Duration { return t.opt.Now().Sub(t.epoch) }
 
 // ring returns (creating if needed) the ring of one key; caller holds t.mu.
 func (t *SLOTracker) ring(key string) *sloRing {
@@ -186,7 +194,7 @@ type SLOStats struct {
 // WindowStats computes one key's rolling-window summary (zero value when
 // the key has no samples in the window).
 func (t *SLOTracker) WindowStats(key string) SLOStats {
-	cutoff := t.opt.Now().Add(-t.opt.Window)
+	cutoff := t.since() - t.opt.Window
 	t.mu.Lock()
 	r := t.keys[key]
 	var lat []float64
@@ -219,7 +227,7 @@ func (t *SLOTracker) stats(lat []float64, total, failed int) SLOStats {
 // (gauges are latest-value; an idle route's numbers go stale rather than
 // vanishing mid-dashboard).
 func (t *SLOTracker) Publish(reg *Registry) {
-	cutoff := t.opt.Now().Add(-t.opt.Window)
+	cutoff := t.since() - t.opt.Window
 	type keyed struct {
 		key           string
 		lat           []float64

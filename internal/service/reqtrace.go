@@ -429,10 +429,16 @@ func routeName(path string) string {
 	switch path {
 	case "/v1/rank":
 		return "rank"
+	case "/v1/compare":
+		return "compare"
+	case "/v1/fleet/rank":
+		return "fleet"
 	case "/v1/predict":
 		return "predict"
 	case "/v1/kernels":
 		return "kernels"
+	case "/v1/arches":
+		return "arches"
 	case "/healthz":
 		return "healthz"
 	case "/readyz":

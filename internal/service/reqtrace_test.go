@@ -187,6 +187,33 @@ func TestAccessLogSchema(t *testing.T) {
 	if rec["dur_ns"].(float64) <= 0 || rec["search_ns"].(float64) <= 0 {
 		t.Fatalf("stage timings not recorded: %s", line)
 	}
+
+	// Every registered route logs its own name (the per-route SLO key and
+	// span name); only unregistered paths share "other". Empty POST bodies
+	// are rejected at decode, which still logs the route.
+	routes := []struct{ method, path, want string }{
+		{"POST", "/v1/rank", "rank"},
+		{"POST", "/v1/compare", "compare"},
+		{"POST", "/v1/fleet/rank", "fleet"},
+		{"POST", "/v1/predict", "predict"},
+		{"GET", "/v1/kernels", "kernels"},
+		{"GET", "/v1/arches", "arches"},
+		{"GET", "/healthz", "healthz"},
+		{"GET", "/readyz", "readyz"},
+		{"GET", "/metrics", "metrics"},
+		{"GET", "/no/such/route", "other"},
+	}
+	for _, r := range routes {
+		buf.Reset()
+		s.Handler().ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(r.method, r.path, strings.NewReader("{}")))
+		var rec struct{ Route string }
+		if err := json.Unmarshal(buf.Bytes(), &rec); err != nil {
+			t.Fatalf("%s %s: access log line is not JSON: %v\n%s", r.method, r.path, err, buf.Bytes())
+		}
+		if rec.Route != r.want {
+			t.Errorf("%s %s: access log route %q, want %q", r.method, r.path, rec.Route, r.want)
+		}
+	}
 }
 
 // TestSampledRequestSpans asserts a sampled request leaves a complete

@@ -205,10 +205,6 @@ func New(advisors map[string]*advisor.Advisor, opt Options, col *obs.Collector) 
 	return s, nil
 }
 
-// SLO exposes the server's rolling-window SLO tracker (tests and the load
-// harness read WindowStats from it).
-func (s *Server) SLO() *obs.SLOTracker { return s.slo }
-
 // MarkReady flips GET /readyz to 200. The boot sequence calls it once every
 // advisor is trained and any snapshot restore has finished; until then the
 // probe answers 503 so an orchestrator keeps traffic away from a still-cold

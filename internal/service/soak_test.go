@@ -38,8 +38,8 @@ func soakDuration() time.Duration {
 // cancels while snapshot writes fail, tear, and stall under seeded fault
 // injection and the snapshot is save/restore-cycled concurrently. It then
 // asserts the robustness invariants: zero 500s (429/503/504 are documented
-// flow control), a byte-identical ranking across a snapshot restore into a
-// fresh server, and zero leaked goroutines.
+// flow control), an X-Request-ID on every response, a byte-identical ranking
+// across a snapshot restore into a fresh server, and zero leaked goroutines.
 //
 // The fault seed is taken from HMS_FAULT_SEED when set; a failure always
 // logs the seed, so any run can be replayed exactly.
@@ -69,7 +69,7 @@ func TestSoakChaos(t *testing.T) {
 	// The reference ranking: cached now, compared byte-for-byte after the
 	// soak against a server restored from the survivor snapshot.
 	refReq := `{"kernel":"fft","top_k":4}`
-	refBody, status := soakPost(t, client, ts.URL+"/v1/rank", refReq, 0)
+	refBody, status, _ := soakPost(t, client, ts.URL+"/v1/rank", refReq, 0)
 	if status != 200 {
 		t.Fatalf("reference ranking status %d: %s", status, refBody)
 	}
@@ -81,12 +81,20 @@ func TestSoakChaos(t *testing.T) {
 		wg         sync.WaitGroup
 		got500     atomic.Int64
 		first500   atomic.Value // string
+		missingID  atomic.Int64
+		firstNoID  atomic.Value // string
 		statuses   sync.Map     // status code -> *atomic.Int64
 		cycleSaves atomic.Int64
 	)
 	count := func(code int) {
 		v, _ := statuses.LoadOrStore(code, new(atomic.Int64))
 		v.(*atomic.Int64).Add(1)
+	}
+	checkID := func(method, path string, status int, id string) {
+		if id == "" {
+			missingID.Add(1)
+			firstNoID.CompareAndSwap(nil, fmt.Sprintf("%s %s -> %d", method, path, status))
+		}
 	}
 
 	// Client hammer: mixed kernels, strategies, budgets, malformed bodies,
@@ -120,11 +128,12 @@ func TestSoakChaos(t *testing.T) {
 				if rng.Intn(4) == 0 {
 					cancelIn = time.Duration(1+rng.Intn(5)) * time.Millisecond
 				}
-				resp, status := soakPost(t, client, ts.URL+path, body, cancelIn)
+				resp, status, id := soakPost(t, client, ts.URL+path, body, cancelIn)
 				if status == 0 {
 					continue // client-side cancel before any response
 				}
 				count(status)
+				checkID("POST", path, status, id)
 				if status >= 500 && status != 503 && status != 504 {
 					got500.Add(1)
 					first500.CompareAndSwap(nil, fmt.Sprintf("POST %s %s -> %d: %s", path, body, status, resp))
@@ -143,9 +152,13 @@ func TestSoakChaos(t *testing.T) {
 			default:
 			}
 			for _, p := range []string{"/metrics", "/healthz", "/readyz", "/v1/kernels"} {
-				if _, status := soakPost(t, client, ts.URL+p, "", 0); status >= 500 {
+				_, status, id := soakPost(t, client, ts.URL+p, "", 0)
+				if status >= 500 {
 					got500.Add(1)
 					first500.CompareAndSwap(nil, fmt.Sprintf("GET %s -> %d", p, status))
+				}
+				if status != 0 {
+					checkID("GET", p, status, id)
 				}
 			}
 			time.Sleep(5 * time.Millisecond)
@@ -190,6 +203,9 @@ func TestSoakChaos(t *testing.T) {
 		mix, pts.Injected.Load(), cycleSaves.Load())
 	if n := got500.Load(); n != 0 {
 		t.Fatalf("soak: %d server faults (seed %d): first: %v", n, seed, first500.Load())
+	}
+	if n := missingID.Load(); n != 0 {
+		t.Fatalf("soak: %d responses without %s (seed %d): first: %v", n, HeaderRequestID, seed, firstNoID.Load())
 	}
 	if n := counterVal(s, obs.MetricServiceErrorsTotal); n != 0 {
 		t.Fatalf("soak: service_errors_total = %d, want 0 (seed %d)", n, seed)
@@ -249,9 +265,9 @@ func gaugeVal(t testing.TB, col *obs.Collector, name string) float64 {
 }
 
 // soakPost issues one request (POST when body is non-empty, GET otherwise),
-// optionally canceling it after cancelIn. Status 0 means the client gave up
-// before a status arrived.
-func soakPost(t *testing.T, client *http.Client, url, body string, cancelIn time.Duration) ([]byte, int) {
+// optionally canceling it after cancelIn, and returns the body, status, and
+// X-Request-ID. Status 0 means the client gave up before a status arrived.
+func soakPost(t *testing.T, client *http.Client, url, body string, cancelIn time.Duration) ([]byte, int, string) {
 	t.Helper()
 	ctx := context.Background()
 	if cancelIn > 0 {
@@ -269,11 +285,11 @@ func soakPost(t *testing.T, client *http.Client, url, body string, cancelIn time
 	}
 	resp, err := client.Do(req)
 	if err != nil {
-		return nil, 0
+		return nil, 0, ""
 	}
 	defer resp.Body.Close()
 	b, _ := io.ReadAll(resp.Body)
-	return b, resp.StatusCode
+	return b, resp.StatusCode, resp.Header.Get(HeaderRequestID)
 }
 
 // snapshotWithoutFaults saves s's warm state bypassing the server's

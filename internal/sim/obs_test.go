@@ -181,8 +181,8 @@ func TestRunContextNopRecorderAddsNoAllocs(t *testing.T) {
 }
 
 // Benchmarks for the observability overhead budget: `none` is the seed
-// baseline, `nop` must stay within 2% of it (checked offline via
-// scripts/bench.sh → BENCH_obs.json), `collector` shows the enabled cost.
+// baseline, `nop` must stay within 2% of it (compare the two sub-benchmarks'
+// ns/op), `collector` shows the enabled cost.
 func BenchmarkRunContextRecorder(b *testing.B) {
 	cfg := gpu.KeplerK80()
 	spec := kernels.MustGet("matrixMul")
