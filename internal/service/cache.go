@@ -2,10 +2,11 @@ package service
 
 import (
 	"container/list"
+	"context"
 	"fmt"
+	"sync"
 
 	"gpuhms/internal/obs"
-	"sync"
 )
 
 // RankKey is the cache/singleflight key of a rank request:
@@ -30,13 +31,36 @@ func RankKey(req *RankRequest) string {
 	return key
 }
 
-// flight is one in-progress search shared by every request with its key.
-// Complete fills resp/err and then closes done; waiters read the fields
+// flight is one in-progress search and the requests waiting on it: every
+// request with its cache key, or the one /v1/predict request that submitted
+// it. finish fills resp/err and then closes done; waiters read the fields
 // only after <-done, so the channel close publishes them.
 type flight[V any] struct {
 	done chan struct{}
 	resp V
 	err  error
+}
+
+func newFlight[V any]() *flight[V] { return &flight[V]{done: make(chan struct{})} }
+
+// finish publishes the flight's outcome and wakes every waiter. It must run
+// exactly once.
+func (fl *flight[V]) finish(resp V, err error) {
+	fl.resp, fl.err = resp, err
+	close(fl.done)
+}
+
+// wait blocks until the flight finishes or ctx ends (the mapped 499/504
+// error), timing the request's wait stage.
+func (fl *flight[V]) wait(ctx context.Context) (V, error) {
+	defer TraceFrom(ctx).BeginStage(StageWait)()
+	select {
+	case <-fl.done:
+		return fl.resp, fl.err
+	case <-ctx.Done():
+		var zero V
+		return zero, ctx.Err()
+	}
 }
 
 // cacheEntry is one LRU slot.
@@ -94,7 +118,7 @@ func (c *Cache[V]) Begin(key string) (resp V, fl *flight[V], leader bool) {
 	if fl, ok := c.flights[key]; ok {
 		return resp, fl, false
 	}
-	fl = &flight[V]{done: make(chan struct{})}
+	fl = newFlight[V]()
 	c.flights[key] = fl
 	return resp, fl, true
 }
@@ -111,8 +135,7 @@ func (c *Cache[V]) Complete(key string, resp V, err error) {
 	delete(c.flights, key)
 	c.mu.Unlock()
 	if fl != nil {
-		fl.resp, fl.err = resp, err
-		close(fl.done)
+		fl.finish(resp, err)
 	}
 }
 

@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"fmt"
-	"net/http"
 	"strconv"
 	"strings"
 
@@ -140,9 +139,10 @@ type FleetRankResponse struct {
 // same contract as DecodeRankRequest (FuzzDecodeFleetRequest): any input
 // yields either a bounded, normalized request or an error wrapping
 // ErrBadRequest / hmserr.ErrUnknownStrategy / fleet.ErrUnknownMix — never a
-// panic, never a 5xx. A mix expands to its tenants here so the cache key and
-// the solver see one canonical form. Kernel existence is checked later
-// against the registry.
+// panic, never a 5xx. A mix expands to its tenants and the arch is
+// canonicalized (canonicalArch) here, so the cache key and the solver see
+// one canonical form. Kernel existence is checked later against the
+// registry.
 func DecodeFleetRequest(data []byte) (*FleetRankRequest, error) {
 	var req FleetRankRequest
 	if err := decodeJSON(data, &req); err != nil {
@@ -267,6 +267,7 @@ func DecodeFleetRequest(data []byte) (*FleetRankRequest, error) {
 	}
 	req.Objective = obj.String()
 	req.Mix = "" // fully expanded; the canonical form is tenants+budgets
+	req.Arch = canonicalArch(req.Arch)
 	return &req, nil
 }
 
@@ -298,46 +299,24 @@ func FleetKey(req *FleetRankRequest) string {
 	return sb.String()
 }
 
-// handleFleetRank serves POST /v1/fleet/rank: decode → advisor lookup →
-// fleet cache / singleflight / pool → 200.
-func (s *Server) handleFleetRank(w http.ResponseWriter, r *http.Request) int {
-	rt := TraceFrom(r.Context())
-	endDecode := rt.BeginStage(StageDecode)
-	body, err := readBody(w, r)
-	if err != nil {
-		endDecode()
-		return s.writeError(w, r, err)
-	}
-	req, err := DecodeFleetRequest(body)
-	endDecode()
-	if err != nil {
-		return s.writeError(w, r, err)
-	}
+// fleetRank serves POST /v1/fleet/rank: advisor lookup → default solver →
+// kernel checks → fleet cache / singleflight / pool.
+func (s *Server) fleetRank(ctx context.Context, req *FleetRankRequest) (*FleetRankResponse, string, error) {
 	adv, arch, err := s.advisorFor(req.Arch)
 	if err != nil {
-		return s.writeError(w, r, err)
+		return nil, "", err
 	}
 	req.Arch = arch // normalize before keying the cache
 	if req.Solver == "" {
 		req.Solver = s.opt.DefaultFleetSolver
 	}
-	rt.SetStrategy("fleet:" + req.Solver)
+	TraceFrom(ctx).SetStrategy("fleet:" + req.Solver)
 	for _, t := range req.Tenants {
 		if _, ok := kernels.Get(t.Kernel); !ok {
-			return s.writeError(w, r, badKernel(t.Kernel))
+			return nil, "", badKernel(t.Kernel)
 		}
 	}
-	resp, outcome, err := s.doFleet(r.Context(), adv, req)
-	if outcome != "" {
-		w.Header().Set(HeaderCache, outcome)
-	}
-	if err != nil {
-		return s.writeError(w, r, err)
-	}
-	endEncode := rt.BeginStage(StageEncode)
-	writeJSON(w, http.StatusOK, resp)
-	endEncode()
-	return http.StatusOK
+	return s.doFleet(ctx, adv, req)
 }
 
 // runFleet executes one fleet solve on a worker.

@@ -72,6 +72,30 @@ func TestFleetEndpoint(t *testing.T) {
 	}
 }
 
+// TestFleetArchAlias: /v1/fleet/rank canonicalizes an arch alias at
+// decode, as /v1/rank does, so the alias is served by the canonical advisor
+// and shares its cache entry with the canonical spelling.
+func TestFleetArchAlias(t *testing.T) {
+	s := newTestServer(t, Options{})
+	rr := doJSON(t, s, "POST", "/v1/fleet/rank", `{"arch":"Tesla-K80","mix":"balanced"}`)
+	if rr.Code != http.StatusOK {
+		t.Fatalf("alias status %d: %s", rr.Code, rr.Body.String())
+	}
+	if resp := decodeFleet(t, rr.Body.Bytes()); resp.Arch != "k80" {
+		t.Errorf("alias reply arch %q, want k80", resp.Arch)
+	}
+	rr2 := doJSON(t, s, "POST", "/v1/fleet/rank", `{"arch":"k80","mix":"balanced"}`)
+	if rr2.Code != http.StatusOK {
+		t.Fatalf("canonical status %d: %s", rr2.Code, rr2.Body.String())
+	}
+	if got := rr2.Header().Get(HeaderCache); got != cacheHit {
+		t.Errorf("canonical request after alias: cache header %q, want %q", got, cacheHit)
+	}
+	if !bytes.Equal(rr.Body.Bytes(), rr2.Body.Bytes()) {
+		t.Error("canonical reply differs from the alias reply")
+	}
+}
+
 // TestFleetEndpointSolverAndWeights: explicit solver/objective fields are
 // honored and echoed canonically.
 func TestFleetEndpointSolverAndWeights(t *testing.T) {

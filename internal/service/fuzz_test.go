@@ -165,6 +165,7 @@ func FuzzDecodeFleetRequest(f *testing.F) {
 	f.Add([]byte(`{"mix":"balanced","solver":"beam-8","objective":"weighted"}`))
 	f.Add([]byte(`{"tenants":[{"kernel":"fft","weight":2.5},{"kernel":"sort"}],"budgets":{"shared":2048}}`))
 	f.Add([]byte(`{"tenants":[{"kernel":"vecadd"}],"menu_size":8,"max_candidates":50,"parallelism":4}`))
+	f.Add([]byte(`{"arch":" Tesla-K80 ","mix":"balanced"}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := DecodeFleetRequest(data)
 		if err != nil {
@@ -183,6 +184,9 @@ func FuzzDecodeFleetRequest(f *testing.F) {
 		}
 		if req.Mix != "" {
 			t.Fatalf("accepted request still carries mix %q after expansion", req.Mix)
+		}
+		if req.Arch != canonicalArch(req.Arch) {
+			t.Fatalf("accepted arch %q is not canonical (%q)", req.Arch, canonicalArch(req.Arch))
 		}
 		seen := map[string]bool{}
 		for _, tn := range req.Tenants {

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -32,35 +33,24 @@ import (
 //
 // The whole mux is wrapped in the tracing middleware (reqtrace.go), so
 // every response — including mux-level 404/405 — carries X-Request-ID and
-// produces an access-log line when access logging is configured.
-func (s *Server) Handler() http.Handler {
+// produces an access-log line when access logging is configured. The
+// handler is built once, by New.
+func (s *Server) Handler() http.Handler { return s.handler }
+
+// newHandler builds the mux of Handler's routes inside the tracing
+// middleware.
+func (s *Server) newHandler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/rank", s.instrument(s.handleRank))
-	mux.HandleFunc("POST /v1/compare", s.instrument(s.handleCompare))
-	mux.HandleFunc("POST /v1/fleet/rank", s.instrument(s.handleFleetRank))
-	mux.HandleFunc("POST /v1/predict", s.instrument(s.handlePredict))
-	mux.HandleFunc("GET /v1/kernels", s.instrument(s.handleKernels))
-	mux.HandleFunc("GET /v1/arches", s.instrument(s.handleArches))
+	mux.HandleFunc("POST /v1/rank", servePOST(s, DecodeRankRequest, s.rank))
+	mux.HandleFunc("POST /v1/compare", servePOST(s, DecodeCompareRequest, s.compare))
+	mux.HandleFunc("POST /v1/fleet/rank", servePOST(s, DecodeFleetRequest, s.fleetRank))
+	mux.HandleFunc("POST /v1/predict", servePOST(s, DecodePredictRequest, s.predict))
+	mux.HandleFunc("GET /v1/kernels", s.handleKernels)
+	mux.HandleFunc("GET /v1/arches", s.handleArches)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return s.traceMiddleware(mux)
-}
-
-// instrument wraps a handler with the request counter and the
-// whole-request latency histogram, and counts 5xx outcomes.
-func (s *Server) instrument(h func(http.ResponseWriter, *http.Request) int) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		s.col.Add(obs.MetricServiceRequestsTotal, 1)
-		status := h(w, r)
-		s.col.Observe(obs.MetricServiceRequestNS, float64(time.Since(start).Nanoseconds()))
-		// 503/504/499 are flow-control outcomes (shedding, deadlines,
-		// departed clients); only genuine server faults count as errors.
-		if status == http.StatusInternalServerError {
-			s.col.Add(obs.MetricServiceErrorsTotal, 1)
-		}
-	}
 }
 
 // writeJSON writes one JSON response. The encoding of a given value is
@@ -74,11 +64,11 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // writeError maps err onto its status (attaching backpressure headers) and
-// writes the ErrorResponse body, echoing the request ID into it. It returns
-// the status for instrumentation. Shed responses (429, 503) carry a
-// queue-depth-derived, full-jitter Retry-After so a synchronized herd of
-// retries decorrelates; shed reasons land in the access log via SetShed.
-func (s *Server) writeError(w http.ResponseWriter, r *http.Request, err error) int {
+// writes the ErrorResponse body, echoing the request ID into it. Shed
+// responses (429, 503) carry a queue-depth-derived, full-jitter Retry-After
+// so a synchronized herd of retries decorrelates; shed reasons land in the
+// access log via SetShed.
+func (s *Server) writeError(w http.ResponseWriter, r *http.Request, err error) {
 	rt := TraceFrom(r.Context())
 	status := statusOf(err)
 	code := codeOf(err)
@@ -97,7 +87,6 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, err error) i
 		body.RequestID = rt.ID
 	}
 	writeJSON(w, status, body)
-	return status
 }
 
 // readBody drains a bounded request body.
@@ -109,24 +98,56 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	return body, nil
 }
 
-// handleRank serves POST /v1/rank: decode → advisor lookup → cache /
-// singleflight / pool → 200 (or 206 for a budget-limited partial ranking).
-func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) int {
-	rt := TraceFrom(r.Context())
-	endDecode := rt.BeginStage(StageDecode)
-	body, err := readBody(w, r)
-	if err != nil {
+// partialer is implemented by the responses that may be budget-truncated.
+type partialer interface{ partial() bool }
+
+func (r *RankResponse) partial() bool    { return r.Partial }
+func (r *CompareResponse) partial() bool { return r.Partial }
+
+// servePOST is the skeleton of every POST route: read and decode the body
+// (the decode stage), run the route's own logic, set X-HMS-Cache whenever a
+// cache decision was made (on errors too: a 504 that joined a shared flight
+// and a 504 that led its own search triage differently), and write 200 — or
+// 206 for a budget-truncated answer — as the encode stage.
+func servePOST[Req, Resp any](s *Server, decode func([]byte) (*Req, error),
+	serve func(ctx context.Context, req *Req) (Resp, string, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		rt := TraceFrom(r.Context())
+		endDecode := rt.BeginStage(StageDecode)
+		body, err := readBody(w, r)
+		var req *Req
+		if err == nil {
+			req, err = decode(body)
+		}
 		endDecode()
-		return s.writeError(w, r, err)
+		if err != nil {
+			s.writeError(w, r, err)
+			return
+		}
+		resp, outcome, err := serve(r.Context(), req)
+		if outcome != "" {
+			w.Header().Set(HeaderCache, outcome)
+		}
+		if err != nil {
+			s.writeError(w, r, err)
+			return
+		}
+		status := http.StatusOK
+		if p, ok := any(resp).(partialer); ok && p.partial() {
+			status = http.StatusPartialContent
+		}
+		endEncode := rt.BeginStage(StageEncode)
+		writeJSON(w, status, resp)
+		endEncode()
 	}
-	req, err := DecodeRankRequest(body)
-	endDecode()
-	if err != nil {
-		return s.writeError(w, r, err)
-	}
+}
+
+// rank serves POST /v1/rank: advisor lookup → default strategy → kernel
+// check → cache / singleflight / pool.
+func (s *Server) rank(ctx context.Context, req *RankRequest) (*RankResponse, string, error) {
 	adv, arch, err := s.advisorFor(req.Arch)
 	if err != nil {
-		return s.writeError(w, r, err)
+		return nil, "", err
 	}
 	req.Arch = arch // normalize before keying the cache
 	if req.Strategy == "" {
@@ -134,75 +155,32 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) int {
 		// an explicit "exhaustive" and an empty field share one entry.
 		req.Strategy = s.opt.DefaultStrategy
 	}
-	rt.SetStrategy(req.Strategy)
+	TraceFrom(ctx).SetStrategy(req.Strategy)
 	if _, ok := kernels.Get(req.Kernel); !ok {
-		return s.writeError(w, r, badKernel(req.Kernel))
+		return nil, "", badKernel(req.Kernel)
 	}
-	resp, outcome, err := s.doRank(r.Context(), adv, req)
-	if outcome != "" {
-		// The cache verdict rides on errors too: a 504 that joined a shared
-		// flight and a 504 that led its own search triage differently.
-		w.Header().Set(HeaderCache, outcome)
-	}
-	if err != nil {
-		return s.writeError(w, r, err)
-	}
-	status := http.StatusOK
-	if resp.Partial {
-		status = http.StatusPartialContent
-	}
-	endEncode := rt.BeginStage(StageEncode)
-	writeJSON(w, status, resp)
-	endEncode()
-	return status
+	return s.doRank(ctx, adv, req)
 }
 
-// handleCompare serves POST /v1/compare: decode → per-arch fan-out through
-// doRank (each sub-search flows through the rank cache, singleflight, and
-// worker pool exactly as a standalone /v1/rank would) → 200, or 206 when
-// any per-arch ranking was budget-truncated.
-func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) int {
-	rt := TraceFrom(r.Context())
-	endDecode := rt.BeginStage(StageDecode)
-	body, err := readBody(w, r)
-	if err != nil {
-		endDecode()
-		return s.writeError(w, r, err)
-	}
-	req, err := DecodeCompareRequest(body)
-	endDecode()
-	if err != nil {
-		return s.writeError(w, r, err)
-	}
+// compare serves POST /v1/compare: default strategy → kernel check →
+// per-arch fan-out through doRank (each sub-search flows through the rank
+// cache, singleflight, and worker pool exactly as a standalone /v1/rank
+// would).
+func (s *Server) compare(ctx context.Context, req *CompareRequest) (*CompareResponse, string, error) {
 	if req.Strategy == "" {
 		req.Strategy = s.opt.DefaultStrategy
 	}
-	rt.SetStrategy(req.Strategy)
+	TraceFrom(ctx).SetStrategy(req.Strategy)
 	if _, ok := kernels.Get(req.Kernel); !ok {
-		return s.writeError(w, r, badKernel(req.Kernel))
+		return nil, "", badKernel(req.Kernel)
 	}
-	resp, outcome, err := s.doCompare(r.Context(), req)
-	if outcome != "" {
-		w.Header().Set(HeaderCache, outcome)
-	}
-	if err != nil {
-		return s.writeError(w, r, err)
-	}
-	status := http.StatusOK
-	if resp.Partial {
-		status = http.StatusPartialContent
-	}
-	endEncode := rt.BeginStage(StageEncode)
-	writeJSON(w, status, resp)
-	endEncode()
-	return status
+	return s.doCompare(ctx, req)
 }
 
 // handleArches serves GET /v1/arches: the warm architectures with their
 // per-space capacity tables, sorted by name.
-func (s *Server) handleArches(w http.ResponseWriter, r *http.Request) int {
+func (s *Server) handleArches(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.archInfos())
-	return http.StatusOK
 }
 
 // badKernel wraps an unknown kernel name.
@@ -216,69 +194,25 @@ type unknownKernelError struct{ name string }
 func (e *unknownKernelError) Error() string { return ErrUnknownKernel.Error() + ": " + e.name }
 func (e *unknownKernelError) Unwrap() error { return ErrUnknownKernel }
 
-// handlePredict serves POST /v1/predict through the worker pool (no
-// cache: a single prediction is dominated by the sample profiling run,
-// which repeats per request by design — rank with top_k=1 for the cached
-// path).
-func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) int {
-	rt := TraceFrom(r.Context())
-	endDecode := rt.BeginStage(StageDecode)
-	body, err := readBody(w, r)
-	if err != nil {
-		endDecode()
-		return s.writeError(w, r, err)
-	}
-	req, err := DecodePredictRequest(body)
-	endDecode()
-	if err != nil {
-		return s.writeError(w, r, err)
-	}
+// predict serves POST /v1/predict: advisor lookup → pool (no cache: a
+// single prediction is dominated by the sample profiling run, which repeats
+// per request by design — rank with top_k=1 for the cached path).
+func (s *Server) predict(ctx context.Context, req *PredictRequest) (*PredictResponse, string, error) {
 	adv, arch, err := s.advisorFor(req.Arch)
 	if err != nil {
-		return s.writeError(w, r, err)
+		return nil, "", err
 	}
 	req.Arch = arch
-	type result struct {
-		resp *PredictResponse
-		err  error
-	}
-	ch := make(chan result, 1) // buffered: the worker never blocks on an absent reader
-	searchCtx, cancelSearch := s.searchContext(req.TimeoutMS)
-	deadline, _ := searchCtx.Deadline()
-	rt.MarkSubmit()
-	if err := s.pool.SubmitDeadline(deadline, func() {
-		defer cancelSearch()
-		rt.MarkPickup(s.col)
-		searchStart := s.col.Now()
-		resp, err := s.runPredict(searchCtx, adv, req)
-		rt.SearchSpan(s.col, searchStart, s.col.Now()-searchStart)
-		ch <- result{resp, err}
-	}, func(err error) {
-		cancelSearch()
-		ch <- result{nil, err}
-	}); err != nil {
-		cancelSearch()
-		return s.writeError(w, r, err)
-	}
-	endWait := rt.BeginStage(StageWait)
-	select {
-	case res := <-ch:
-		endWait()
-		if res.err != nil {
-			return s.writeError(w, r, res.err)
-		}
-		endEncode := rt.BeginStage(StageEncode)
-		writeJSON(w, http.StatusOK, res.resp)
-		endEncode()
-		return http.StatusOK
-	case <-r.Context().Done():
-		endWait()
-		return s.writeError(w, r, r.Context().Err())
-	}
+	fl := newFlight[*PredictResponse]()
+	submit(s, TraceFrom(ctx), req.TimeoutMS, func(ctx context.Context) (*PredictResponse, error) {
+		return s.runPredict(ctx, adv, req)
+	}, fl.finish)
+	resp, err := fl.wait(ctx)
+	return resp, "", err
 }
 
 // handleKernels serves GET /v1/kernels.
-func (s *Server) handleKernels(w http.ResponseWriter, r *http.Request) int {
+func (s *Server) handleKernels(w http.ResponseWriter, r *http.Request) {
 	resp := KernelsResponse{}
 	for _, name := range kernels.Names() {
 		spec := kernels.MustGet(name)
@@ -291,7 +225,6 @@ func (s *Server) handleKernels(w http.ResponseWriter, r *http.Request) int {
 		})
 	}
 	writeJSON(w, http.StatusOK, resp)
-	return http.StatusOK
 }
 
 // handleHealthz serves GET /healthz.
@@ -323,9 +256,4 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.col.WriteMetricsText(w)
-}
-
-// ServeHTTP makes *Server an http.Handler directly.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.Handler().ServeHTTP(w, r)
 }

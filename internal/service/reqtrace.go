@@ -57,16 +57,13 @@ const (
 // order. The access-log schema test pins them.
 var stageNames = [numStages]string{"decode", "cache", "queue", "search", "wait", "encode"}
 
-// stageSpan is one recorded stage interval on the collector's timebase.
-type stageSpan struct{ startNS, durNS float64 }
-
 // ReqTrace is one request's identity and per-stage timeline. The tracing
 // middleware creates it, stores it in the request context, and renders it
-// into an access-log line (every request) and Chrome-trace spans (sampled
-// requests) when the handler returns. Handlers and pool closures record
-// stages into it concurrently — a detached search keeps writing its stage
-// after an abandoned client's middleware already logged — so all mutation
-// is mutex-guarded. Every method is nil-receiver-safe: code paths reached
+// into an access-log line (every request) when the handler returns; a
+// sampled request's Chrome-trace spans are written as each stage ends.
+// Handlers and pool closures record stages into it concurrently — a
+// detached search keeps writing its stage after an abandoned client's
+// middleware already logged — so all mutation is mutex-guarded. Every method is nil-receiver-safe: code paths reached
 // without the middleware (direct handler calls in tests) degrade to no
 // tracing instead of panicking.
 type ReqTrace struct {
@@ -83,10 +80,10 @@ type ReqTrace struct {
 	sampled bool
 	flowID  uint64
 	startNS float64
-	now     func() float64 // the collector clock
+	col     *obs.Collector // clock and span sink
 
 	mu       sync.Mutex
-	stages   [numStages]stageSpan
+	stageNS  [numStages]float64 // each stage's duration
 	cache    string
 	strategy string
 	shed     string
@@ -109,8 +106,8 @@ func TraceFrom(ctx context.Context) *ReqTrace {
 
 // newReqTrace builds the trace of one incoming request: ID extraction /
 // generation and the flow ID that links its pool handoff arrows.
-func newReqTrace(route string, r *http.Request, now func() float64, sampled bool) *ReqTrace {
-	rt := &ReqTrace{Route: route, sampled: sampled, now: now, startNS: now()}
+func newReqTrace(route string, r *http.Request, col *obs.Collector, sampled bool) *ReqTrace {
+	rt := &ReqTrace{Route: route, sampled: sampled, col: col, startNS: col.Now()}
 	if tp := r.Header.Get(HeaderTraceparent); tp != "" {
 		if traceID, ok := parseTraceparent(tp); ok {
 			rt.ID, rt.Traceparent = traceID, tp
@@ -222,51 +219,35 @@ func (rt *ReqTrace) shortID() string {
 	return rt.ID
 }
 
-// Sampled reports whether this request's spans go to the timeline.
-func (rt *ReqTrace) Sampled() bool { return rt != nil && rt.sampled }
-
 // BeginStage starts timing one stage and returns the closure that ends it.
+// A sampled request writes the stage's span to its own track when the stage
+// ends. The queue stage, which opens at submit and ends on the worker at
+// pickup, also draws the handoff flow arrow from the request track to the
+// pool track; the search stage, which runs on the worker, also writes the
+// pool-track span the arrow lands on. Spans written as each stage ends reach
+// the timeline even when the client left before a detached search finished.
 func (rt *ReqTrace) BeginStage(s Stage) func() {
 	if rt == nil {
 		return func() {}
 	}
-	start := rt.now()
+	start := rt.col.Now()
 	return func() {
-		end := rt.now()
+		end := rt.col.Now()
 		rt.mu.Lock()
-		rt.stages[s] = stageSpan{startNS: start, durNS: end - start}
+		rt.stageNS[s] = end - start
 		rt.mu.Unlock()
-	}
-}
-
-// MarkSubmit records the instant a search was handed to the pool: the
-// queue stage opens here and the flow arrow starts here.
-func (rt *ReqTrace) MarkSubmit() {
-	if rt == nil {
-		return
-	}
-	start := rt.now()
-	rt.mu.Lock()
-	rt.stages[StageQueue].startNS = start
-	rt.mu.Unlock()
-}
-
-// MarkPickup closes the queue stage when a pool worker dequeues the job
-// and, for sampled requests, terminates the handoff flow arrow on the pool
-// track — the Perfetto rendering of "this worker picked that request up".
-func (rt *ReqTrace) MarkPickup(col *obs.Collector) {
-	if rt == nil {
-		return
-	}
-	end := rt.now()
-	rt.mu.Lock()
-	q := &rt.stages[StageQueue]
-	if q.startNS > 0 {
-		q.durNS = end - q.startNS
-	}
-	rt.mu.Unlock()
-	if rt.sampled && col != nil {
-		col.Timeline().FlowEnd(trackPool, "handoff", rt.flowID, end)
+		if !rt.sampled {
+			return
+		}
+		track := rt.trackName()
+		rt.col.Span(track, stageNames[s], start, end-start)
+		switch s {
+		case StageQueue:
+			rt.col.Timeline().FlowStart(track, "handoff", rt.flowID, start)
+			rt.col.Timeline().FlowEnd(trackPool, "handoff", rt.flowID, end)
+		case StageSearch:
+			rt.col.Span(trackPool, "search "+rt.shortID(), start, end-start)
+		}
 	}
 }
 
@@ -330,50 +311,22 @@ const trackPool = "pool"
 // trackName is the sampled request's own track.
 func (rt *ReqTrace) trackName() string { return "req/" + rt.shortID() }
 
-// SearchSpan records the search stage and, for sampled requests, the
-// pool-track span a flow arrow lands on. It runs on the worker goroutine.
-func (rt *ReqTrace) SearchSpan(col *obs.Collector, startNS, durNS float64) {
-	if rt == nil {
+// emitSpans closes a sampled request's timeline with its whole-request
+// span; the stage spans were written as each stage ended. Runs once, from
+// the middleware, when the handler returns.
+func (rt *ReqTrace) emitSpans(endNS float64) {
+	if rt == nil || !rt.sampled {
 		return
 	}
-	rt.mu.Lock()
-	rt.stages[StageSearch] = stageSpan{startNS: startNS, durNS: durNS}
-	rt.mu.Unlock()
-	if rt.sampled && col != nil {
-		col.Span(trackPool, "search "+rt.shortID(), startNS, durNS)
-	}
-}
-
-// emitSpans renders a sampled request's timeline: one whole-request span
-// plus its recorded stages on the request's own track, and the handoff
-// flow arrow pointing at the pool. Runs once, from the middleware, when
-// the handler returns.
-func (rt *ReqTrace) emitSpans(col *obs.Collector, endNS float64) {
-	if rt == nil || !rt.sampled || col == nil {
-		return
-	}
-	rt.mu.Lock()
-	stages := rt.stages
-	rt.mu.Unlock()
-	track := rt.trackName()
-	col.Add(obs.MetricServiceTraceSampledTotal, 1)
-	col.Span(track, rt.Route+" "+rt.ID, rt.startNS, endNS-rt.startNS)
-	for s := Stage(0); s < numStages; s++ {
-		sp := stages[s]
-		if sp.startNS > 0 || sp.durNS > 0 {
-			col.Span(track, stageNames[s], sp.startNS, sp.durNS)
-		}
-	}
-	if q := stages[StageQueue]; q.startNS > 0 {
-		col.Timeline().FlowStart(track, "handoff", rt.flowID, q.startNS)
-	}
+	rt.col.Add(obs.MetricServiceTraceSampledTotal, 1)
+	rt.col.Span(rt.trackName(), rt.Route+" "+rt.ID, rt.startNS, endNS-rt.startNS)
 }
 
 // snapshotLog copies the fields the access-log line needs in one lock.
-func (rt *ReqTrace) snapshotLog() (stages [numStages]stageSpan, cache, strategy, shed string, status int) {
+func (rt *ReqTrace) snapshotLog() (stageNS [numStages]float64, cache, strategy, shed string, status int) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	return rt.stages, rt.cache, rt.strategy, rt.shed, rt.status
+	return rt.stageNS, rt.cache, rt.strategy, rt.shed, rt.status
 }
 
 // logAccess emits the one-line JSON access log record of a finished
@@ -384,7 +337,7 @@ func (s *Server) logAccess(rt *ReqTrace, durNS int64) {
 	if lg == nil || rt == nil {
 		return
 	}
-	stages, cache, strategy, shed, status := rt.snapshotLog()
+	stageNS, cache, strategy, shed, status := rt.snapshotLog()
 	lg.LogAttrs(context.Background(), slog.LevelInfo, "request",
 		slog.String("id", rt.ID),
 		slog.String("route", rt.Route),
@@ -393,17 +346,16 @@ func (s *Server) logAccess(rt *ReqTrace, durNS int64) {
 		slog.String("strategy", strategy),
 		slog.String("shed", shed),
 		slog.Int64("dur_ns", durNS),
-		slog.Int64("decode_ns", int64(stages[StageDecode].durNS)),
-		slog.Int64("cache_ns", int64(stages[StageCache].durNS)),
-		slog.Int64("queue_ns", int64(stages[StageQueue].durNS)),
-		slog.Int64("search_ns", int64(stages[StageSearch].durNS)),
-		slog.Int64("wait_ns", int64(stages[StageWait].durNS)),
-		slog.Int64("encode_ns", int64(stages[StageEncode].durNS)),
+		slog.Int64("decode_ns", int64(stageNS[StageDecode])),
+		slog.Int64("cache_ns", int64(stageNS[StageCache])),
+		slog.Int64("queue_ns", int64(stageNS[StageQueue])),
+		slog.Int64("search_ns", int64(stageNS[StageSearch])),
+		slog.Int64("wait_ns", int64(stageNS[StageWait])),
+		slog.Int64("encode_ns", int64(stageNS[StageEncode])),
 	)
 }
 
-// statusWriter captures the response status for the middleware (the
-// handlers' int returns stay internal to instrument).
+// statusWriter captures the response status for the middleware.
 type statusWriter struct {
 	http.ResponseWriter
 	code int
@@ -424,42 +376,46 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 }
 
 // routeName maps a request path onto its short route name for logs, SLO
-// keys, and span names.
-func routeName(path string) string {
+// keys, and span names, and reports whether it is an API route: one the
+// request counter and latency histogram cover.
+func routeName(path string) (name string, api bool) {
 	switch path {
 	case "/v1/rank":
-		return "rank"
+		return "rank", true
 	case "/v1/compare":
-		return "compare"
+		return "compare", true
 	case "/v1/fleet/rank":
-		return "fleet"
+		return "fleet", true
 	case "/v1/predict":
-		return "predict"
+		return "predict", true
 	case "/v1/kernels":
-		return "kernels"
+		return "kernels", true
 	case "/v1/arches":
-		return "arches"
+		return "arches", true
 	case "/healthz":
-		return "healthz"
+		return "healthz", false
 	case "/readyz":
-		return "readyz"
+		return "readyz", false
 	case "/metrics":
-		return "metrics"
+		return "metrics", false
 	default:
-		return "other"
+		return "other", false
 	}
 }
 
 // traceMiddleware wraps the whole API: it mints the request identity
 // before any handler runs (so even a 404/405 from the mux carries
-// X-Request-ID), threads the ReqTrace through the context, and renders the
-// access-log line, SLO sample, and (for every TraceSampleEvery-th request)
-// the Chrome-trace spans when the handler returns.
+// X-Request-ID), threads the ReqTrace through the context, and times the
+// request once on the collector clock when the handler returns. That one
+// measurement feeds the access-log line, the SLO sample, the (API routes
+// only) request counter, latency histogram and 500 counter, and, for every
+// TraceSampleEvery-th request, the whole-request span.
 func (s *Server) traceMiddleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		seq := s.reqSeq.Add(1)
 		sampled := s.opt.TraceSampleEvery > 0 && seq%int64(s.opt.TraceSampleEvery) == 0
-		rt := newReqTrace(routeName(r.URL.Path), r, s.col.Now, sampled)
+		route, api := routeName(r.URL.Path)
+		rt := newReqTrace(route, r, s.col, sampled)
 		w.Header().Set(HeaderRequestID, rt.ID)
 		sw := &statusWriter{ResponseWriter: w}
 		next.ServeHTTP(sw, r.WithContext(withTrace(r.Context(), rt)))
@@ -469,10 +425,19 @@ func (s *Server) traceMiddleware(next http.Handler) http.Handler {
 		}
 		rt.setStatus(sw.code)
 		durNS := int64(endNS - rt.startNS)
+		if api {
+			s.col.Add(obs.MetricServiceRequestsTotal, 1)
+			s.col.Observe(obs.MetricServiceRequestNS, float64(durNS))
+			// 503/504/499 are flow-control outcomes (shedding, deadlines,
+			// departed clients); only genuine server faults count as errors.
+			if sw.code == http.StatusInternalServerError {
+				s.col.Add(obs.MetricServiceErrorsTotal, 1)
+			}
+		}
 		if s.slo != nil {
 			s.slo.Record(rt.Route, rt.CacheState(), float64(durNS), sw.code < 500)
 		}
 		s.logAccess(rt, durNS)
-		rt.emitSpans(s.col, endNS)
+		rt.emitSpans(endNS)
 	})
 }

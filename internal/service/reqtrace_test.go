@@ -2,12 +2,14 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"gpuhms/internal/obs"
 )
@@ -262,22 +264,124 @@ func TestSampledRequestSpans(t *testing.T) {
 	}
 }
 
+// TestDetachedSampledSearchSpans: a sampled request whose client leaves
+// while its search is blocked still completes its timeline once the
+// detached search finishes: the pool-track search span and both ends of the
+// handoff flow arrow reach the exported trace, and the search stage lands on
+// the request's own track.
+func TestDetachedSampledSearchSpans(t *testing.T) {
+	s, m := blockingServer(t, Options{Workers: 1, TraceSampleEvery: 1})
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan *httptest.ResponseRecorder, 1)
+	go func() { done <- doJSONCtx(t, ctx, s, "POST", "/v1/rank", RankRequest{Kernel: "fft", TopK: 1}) }()
+	<-m.started
+	cancel()
+	rr := <-done
+	if rr.Code != StatusClientClosedRequest {
+		t.Fatalf("canceled client got status %d, want %d", rr.Code, StatusClientClosedRequest)
+	}
+	m.releaseAll()
+
+	short := rr.Header().Get(HeaderRequestID)[:8]
+	poolSpan := "search " + short
+	var haveStage bool
+	for deadline := time.Now().Add(30 * time.Second); ; {
+		var havePool bool
+		for _, ev := range s.Collector().Timeline().Events() {
+			if ev.Kind == obs.SpanEvent && ev.Track == trackPool && ev.Name == poolSpan {
+				havePool = true
+			}
+			if ev.Kind == obs.SpanEvent && ev.Track == "req/"+short && ev.Name == "search" {
+				haveStage = true
+			}
+		}
+		if havePool {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("detached search never wrote its pool span %q", poolSpan)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if !haveStage {
+		t.Error("detached search stage missing from the request's own track")
+	}
+
+	var trace bytes.Buffer
+	if err := s.Collector().WriteChromeTrace(&trace); err != nil {
+		t.Fatal(err)
+	}
+	var wrapper struct {
+		TraceEvents []map[string]any `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(trace.Bytes(), &wrapper); err != nil {
+		t.Fatal(err)
+	}
+	var haveSearch, haveFlowStart, haveFlowEnd bool
+	for _, ev := range wrapper.TraceEvents {
+		name, _ := ev["name"].(string)
+		switch ev["ph"] {
+		case "X":
+			haveSearch = haveSearch || name == poolSpan
+		case "s":
+			haveFlowStart = haveFlowStart || name == "handoff"
+		case "f":
+			haveFlowEnd = haveFlowEnd || name == "handoff"
+		}
+	}
+	if !haveSearch || !haveFlowStart || !haveFlowEnd {
+		t.Fatalf("exported trace incomplete: search=%v flowStart=%v flowEnd=%v", haveSearch, haveFlowStart, haveFlowEnd)
+	}
+}
+
+// TestRequestMetricsCountAPIRoutes: the middleware's one request clock
+// feeds service_requests_total and service_request_ns for the six API
+// routes only, whatever their status (a decode 400 and a mux-level 405 on an
+// API path count); health probes, scrapes and unknown paths do not.
+func TestRequestMetricsCountAPIRoutes(t *testing.T) {
+	s := newTestServer(t, Options{})
+	reqs := []struct {
+		method, path, body string
+		api                bool
+	}{
+		{"POST", "/v1/rank", `{"kernel":"fft","top_k":1}`, true},
+		{"POST", "/v1/compare", `{"kernel":"fft","top_k":1}`, true},
+		{"POST", "/v1/fleet/rank", `{}`, true},
+		{"POST", "/v1/predict", `{}`, true},
+		{"GET", "/v1/kernels", "", true},
+		{"GET", "/v1/arches", "", true},
+		{"GET", "/v1/rank", "", true},
+		{"GET", "/healthz", "", false},
+		{"GET", "/readyz", "", false},
+		{"GET", "/metrics", "", false},
+		{"GET", "/no/such/route", "", false},
+	}
+	want := int64(0)
+	for _, r := range reqs {
+		s.Handler().ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(r.method, r.path, strings.NewReader(r.body)))
+		if r.api {
+			want++
+		}
+	}
+	snap := s.Collector().Snapshot()
+	if n := snap.Counter(obs.MetricServiceRequestsTotal); n != want {
+		t.Errorf("%s = %d, want %d", obs.MetricServiceRequestsTotal, n, want)
+	}
+	if h := snap.Histogram(obs.MetricServiceRequestNS); h == nil || h.Count != want {
+		t.Errorf("%s histogram %+v, want count %d", obs.MetricServiceRequestNS, h, want)
+	}
+}
+
 // TestReqTraceNilSafety: every ReqTrace method must be a no-op on nil — the
 // degraded path for handlers invoked without the middleware.
 func TestReqTraceNilSafety(t *testing.T) {
 	var rt *ReqTrace
 	rt.BeginStage(StageDecode)()
-	rt.MarkSubmit()
-	rt.MarkPickup(nil)
 	rt.SetCache("hit")
 	rt.SetStrategy("greedy")
 	rt.SetShed("queue_full")
 	rt.setStatus(200)
-	rt.SearchSpan(nil, 0, 1)
-	rt.emitSpans(nil, 0)
-	if rt.Sampled() {
-		t.Fatal("nil trace reports sampled")
-	}
+	rt.emitSpans(0)
 	if rt.CacheState() != "" {
 		t.Fatal("nil trace reports cache state")
 	}
@@ -291,7 +395,7 @@ func TestReqTraceNilSafety(t *testing.T) {
 func TestReqTraceRaceHammer(t *testing.T) {
 	col := obs.NewCollector()
 	req := httptest.NewRequest("POST", "/v1/rank", nil)
-	rt := newReqTrace("rank", req, col.Now, true)
+	rt := newReqTrace("rank", req, col, true)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -299,15 +403,12 @@ func TestReqTraceRaceHammer(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				end := rt.BeginStage(Stage(i % int(numStages)))
-				rt.MarkSubmit()
-				rt.MarkPickup(col)
 				rt.SetCache(cacheHit)
 				rt.SetStrategy("greedy")
 				rt.SetShed("queue_full")
 				rt.setStatus(200)
-				rt.SearchSpan(col, float64(i), 1)
 				end()
-				rt.emitSpans(col, col.Now())
+				rt.emitSpans(col.Now())
 				if i%16 == 0 {
 					_ = rt.CacheState()
 					_ = col.Snapshot() // scrape hooks race against recording

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log/slog"
 	"math/rand"
+	"net/http"
 	"runtime"
 	"sort"
 	"sync"
@@ -133,6 +134,7 @@ type Server struct {
 	// single-kernel rankings (and vice versa).
 	fleetCache *Cache[*FleetRankResponse]
 	start      time.Time
+	handler    http.Handler // built once by New; see Handler
 
 	// slo tracks rolling-window latency/availability against the configured
 	// targets; its Publish runs as a scrape hook on the collector.
@@ -202,6 +204,7 @@ func New(advisors map[string]*advisor.Advisor, opt Options, col *obs.Collector) 
 	})
 	col.AddScrapeHook(s.slo.Publish)
 	obs.RegisterRuntimeHealth(col)
+	s.handler = s.newHandler()
 	return s, nil
 }
 
@@ -285,16 +288,47 @@ const (
 	cacheShared = "shared" // joined an identical search in flight
 )
 
+// submit hands one search to the worker pool under a fresh search context
+// (server base + request timeout) and delivers its outcome exactly once:
+// run's result from the worker, or the error when the pool rejects the job
+// at submit or sheds it at dequeue. The search deadline rides along to the
+// pool, so a job whose remaining budget cannot cover the observed service
+// time is shed with 504 instead of starting a doomed search. The queue stage
+// opens here and ends at pickup; the search stage times run on the worker.
+func submit[V any](s *Server, rt *ReqTrace, timeoutMS int,
+	run func(ctx context.Context) (V, error), deliver func(V, error)) {
+	var zero V
+	ctx, cancel := s.searchContext(timeoutMS)
+	deadline, _ := ctx.Deadline()
+	endQueue := rt.BeginStage(StageQueue)
+	err := s.pool.SubmitDeadline(deadline, func() {
+		defer cancel()
+		endQueue()
+		endSearch := rt.BeginStage(StageSearch)
+		v, err := run(ctx)
+		endSearch()
+		deliver(v, err)
+	}, func(err error) {
+		cancel()
+		deliver(zero, err)
+	})
+	if err != nil {
+		cancel()
+		deliver(zero, err)
+	}
+}
+
 // doCached serves one request through a cache, singleflight, and the worker
 // pool — the shared engine behind doRank and doFleet. The search runs
-// detached from the caller: it is bounded by the search context (server base
-// + request timeout), not by the caller's presence, so a client that gives
-// up waiting does not waste the work — the result still lands in the cache.
-// The caller's reqCtx only bounds the wait: when it fires first, the mapped
-// error (499/504) is returned while the flight completes behind the scenes.
+// detached from the caller: it is bounded by the search context, not by the
+// caller's presence, so a client that gives up waiting does not waste the
+// work — the result still lands in the cache. The caller's reqCtx only
+// bounds the wait: when it fires first, the mapped error (499/504) is
+// returned while the flight completes behind the scenes. A rejected or shed
+// leader completes its flight with the backpressure error, so every waiter
+// sheds with it.
 func doCached[V any](s *Server, reqCtx context.Context, cache *Cache[V], key string,
 	timeoutMS int, run func(ctx context.Context) (V, error)) (V, string, error) {
-	var zero V
 	rt := TraceFrom(reqCtx)
 	endCache := rt.BeginStage(StageCache)
 	resp, fl, leader := cache.Begin(key)
@@ -308,42 +342,13 @@ func doCached[V any](s *Server, reqCtx context.Context, cache *Cache[V], key str
 	case leader:
 		outcome = cacheMiss
 		s.col.Add(obs.MetricServiceCacheMissesTotal, 1)
-		searchCtx, cancelSearch := s.searchContext(timeoutMS)
-		// The search deadline rides along to the pool so a job whose
-		// remaining budget cannot cover the observed service time is shed
-		// with 504 instead of starting a doomed search.
-		deadline, _ := searchCtx.Deadline()
-		rt.MarkSubmit()
-		err := s.pool.SubmitDeadline(deadline, func() {
-			defer cancelSearch()
-			rt.MarkPickup(s.col)
-			searchStart := s.col.Now()
-			resp, err := run(searchCtx)
-			rt.SearchSpan(s.col, searchStart, s.col.Now()-searchStart)
-			cache.Complete(key, resp, err)
-		}, func(err error) {
-			cancelSearch()
-			cache.Complete(key, zero, err)
-		})
-		if err != nil {
-			// The queue rejected the job: complete the flight so every
-			// waiter sheds with the same backpressure error.
-			cancelSearch()
-			cache.Complete(key, zero, err)
-		}
+		submit(s, rt, timeoutMS, run, func(v V, err error) { cache.Complete(key, v, err) })
 	default:
 		s.col.Add(obs.MetricServiceSingleflightSharedTotal, 1)
 	}
 	rt.SetCache(outcome)
-	endWait := rt.BeginStage(StageWait)
-	select {
-	case <-fl.done:
-		endWait()
-		return fl.resp, outcome, fl.err
-	case <-reqCtx.Done():
-		endWait()
-		return zero, outcome, reqCtx.Err()
-	}
+	resp, err := fl.wait(reqCtx)
+	return resp, outcome, err
 }
 
 // doRank serves one rank request through the rank cache.

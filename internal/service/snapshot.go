@@ -39,22 +39,20 @@ type snapModelPayload struct {
 	Model json.RawMessage `json:"model"`
 }
 
-// snapCachePayload is the JSON body of a SnapKindCache entry.
+// snapCachePayload is the JSON body of a SnapKindCache entry: one
+// result-cache entry.
 type snapCachePayload struct {
 	Key string `json:"key"`
-	// Response is the cached RankResponse document. Stored and restored as
-	// JSON, it re-encodes byte-identically (encoding a RankResponse is a
-	// deterministic function of its fields), which is what lets the verify
-	// smoke diff pre-crash and post-restore bodies.
+	// Response is the cached RankResponse (or FleetRankResponse) document.
+	// Stored and restored as JSON, it re-encodes byte-identically (encoding
+	// a response is a deterministic function of its fields), which is what
+	// lets the verify smoke diff pre-crash and post-restore bodies.
 	Response json.RawMessage `json:"response"`
 }
 
-// snapFleetPayload is the JSON body of a SnapKindFleet entry, mirroring
-// snapCachePayload for the fleet cache.
-type snapFleetPayload struct {
-	Key      string          `json:"key"`
-	Response json.RawMessage `json:"response"`
-}
+// snapFleetPayload is the JSON body of a SnapKindFleet entry, the shape of
+// snapCachePayload.
+type snapFleetPayload = snapCachePayload
 
 // SnapshotContents is a decoded and schema-validated snapshot file: the
 // trained models by architecture, the cache entries in LRU order, and the
@@ -92,34 +90,45 @@ func ReadSnapshotFile(path string) (*SnapshotContents, error) {
 			}
 			c.Models[p.Arch] = p.Model
 		case SnapKindCache:
-			var p snapCachePayload
-			if json.Unmarshal(e.Payload, &p) != nil || p.Key == "" || len(p.Key) > MaxSnapshotKeyLen {
+			if ce, ok := decodeCached(e.Payload, validRank); ok {
+				c.Cache = append(c.Cache, ce)
+			} else {
 				c.Skipped++
-				continue
 			}
-			var resp RankResponse
-			if json.Unmarshal(p.Response, &resp) != nil || resp.Kernel == "" {
-				c.Skipped++
-				continue
-			}
-			c.Cache = append(c.Cache, CachedResponse{Key: p.Key, Resp: &resp})
 		case SnapKindFleet:
-			var p snapFleetPayload
-			if json.Unmarshal(e.Payload, &p) != nil || p.Key == "" || len(p.Key) > MaxSnapshotKeyLen {
+			if ce, ok := decodeCached(e.Payload, validFleet); ok {
+				c.Fleet = append(c.Fleet, ce)
+			} else {
 				c.Skipped++
-				continue
 			}
-			var resp FleetRankResponse
-			if json.Unmarshal(p.Response, &resp) != nil || len(resp.Tenants) == 0 || resp.Solver == "" {
-				c.Skipped++
-				continue
-			}
-			c.Fleet = append(c.Fleet, FleetCachedResponse{Key: p.Key, Resp: &resp})
 		default:
 			c.Skipped++ // unknown kind: written by a future schema, not for us
 		}
 	}
 	return c, err
+}
+
+// validRank and validFleet are the schema checks a cached response must
+// pass to be restored, from a snapshot file or through RestoreCache /
+// RestoreFleetCache.
+func validRank(r *RankResponse) bool { return r != nil && r.Kernel != "" }
+
+func validFleet(r *FleetRankResponse) bool {
+	return r != nil && len(r.Tenants) > 0 && r.Solver != ""
+}
+
+// validKey bounds a restored cache key.
+func validKey(key string) bool { return key != "" && len(key) <= MaxSnapshotKeyLen }
+
+// decodeCached parses one cache-entry payload, reporting false on any damage.
+func decodeCached[V any](payload []byte, valid func(V) bool) (CachedEntry[V], bool) {
+	var p snapCachePayload
+	var resp V
+	if json.Unmarshal(payload, &p) != nil || !validKey(p.Key) ||
+		json.Unmarshal(p.Response, &resp) != nil || !valid(resp) {
+		return CachedEntry[V]{}, false
+	}
+	return CachedEntry[V]{Key: p.Key, Resp: resp}, true
 }
 
 // WriteSnapshot streams the server's warm state — every trained model, then
@@ -148,7 +157,15 @@ func (s *Server) appendSnapshotEntries(sw *snapshot.Writer) error {
 			return err
 		}
 	}
-	for _, e := range s.cache.Entries() {
+	if err := appendCached(sw, SnapKindCache, s.cache); err != nil {
+		return err
+	}
+	return appendCached(sw, SnapKindFleet, s.fleetCache)
+}
+
+// appendCached frames one cache's entries, least recently used first.
+func appendCached[V any](sw *snapshot.Writer, kind uint8, c *Cache[V]) error {
+	for _, e := range c.Entries() {
 		resp, err := json.Marshal(e.Resp)
 		if err != nil {
 			return err
@@ -157,20 +174,7 @@ func (s *Server) appendSnapshotEntries(sw *snapshot.Writer) error {
 		if err != nil {
 			return err
 		}
-		if err := sw.Append(SnapKindCache, payload); err != nil {
-			return err
-		}
-	}
-	for _, e := range s.fleetCache.Entries() {
-		resp, err := json.Marshal(e.Resp)
-		if err != nil {
-			return err
-		}
-		payload, err := json.Marshal(snapFleetPayload{Key: e.Key, Response: resp})
-		if err != nil {
-			return err
-		}
-		if err := sw.Append(SnapKindFleet, payload); err != nil {
+		if err := sw.Append(kind, payload); err != nil {
 			return err
 		}
 	}
@@ -197,34 +201,25 @@ func (s *Server) SaveSnapshot(path string) error {
 // It reports how many entries were restored and how many skipped; both also
 // land on the snapshot restore counters.
 func (s *Server) RestoreCache(entries []CachedResponse) (restored, skipped int) {
-	for _, e := range entries {
-		if e.Resp == nil || e.Key == "" || len(e.Key) > MaxSnapshotKeyLen || e.Resp.Kernel == "" {
-			skipped++
-			continue
-		}
-		s.cache.Restore(e.Key, e.Resp)
-		restored++
-	}
-	if restored > 0 {
-		s.col.Add(obs.MetricServiceSnapshotRestoredTotal, int64(restored))
-	}
-	if skipped > 0 {
-		s.col.Add(obs.MetricServiceSnapshotSkippedTotal, int64(skipped))
-	}
-	return restored, skipped
+	return restoreCached(s, s.cache, entries, validRank)
 }
 
 // RestoreFleetCache warms the fleet result cache from snapshot contents
 // under the same contract as RestoreCache: entries failing revalidation
 // against the current schema are skipped and counted, never fatal.
 func (s *Server) RestoreFleetCache(entries []FleetCachedResponse) (restored, skipped int) {
+	return restoreCached(s, s.fleetCache, entries, validFleet)
+}
+
+// restoreCached is the restore loop behind RestoreCache and
+// RestoreFleetCache.
+func restoreCached[V any](s *Server, c *Cache[V], entries []CachedEntry[V], valid func(V) bool) (restored, skipped int) {
 	for _, e := range entries {
-		if e.Resp == nil || e.Key == "" || len(e.Key) > MaxSnapshotKeyLen ||
-			len(e.Resp.Tenants) == 0 || e.Resp.Solver == "" {
+		if !validKey(e.Key) || !valid(e.Resp) {
 			skipped++
 			continue
 		}
-		s.fleetCache.Restore(e.Key, e.Resp)
+		c.Restore(e.Key, e.Resp)
 		restored++
 	}
 	if restored > 0 {

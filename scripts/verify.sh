@@ -8,7 +8,9 @@
 # must add zero allocations), a short chaos soak (scripts/soak.sh runs the
 # long one), and an end-to-end service smoke covering warm boot,
 # crash/restart recovery, corrupt-snapshot cold boot (docs/ROBUSTNESS.md),
-# and the multi-arch surface — /v1/arches capacity tables and a beam-4
+# a sampled Chrome trace written after the SIGTERM drain (handoff arrows and
+# pool search spans), an arch alias on /v1/fleet/rank, and the multi-arch
+# surface — /v1/arches capacity tables and a beam-4
 # /v1/compare over the chiplet's grown placement space completing under
 # budget with the golden K80-vs-chiplet top-1 divergence (docs/ARCHES.md).
 # Performance itself is measured by perfbench (BENCHMARK.json). Run from the
@@ -150,7 +152,12 @@ if command -v curl >/dev/null 2>&1; then
     for _ in $(seq 1 120); do [ -s "$SNAP" ] && break; sleep 0.5; done
     [ -s "$SNAP" ] || { echo "verify: SIGHUP never produced a snapshot"; exit 1; }
     kill -9 "$SRV_PID"; wait "$SRV_PID" 2>/dev/null || true
-    /tmp/hmsserved.verify -addr 127.0.0.1:0 -snapshot "$SNAP" -snapshot-interval 0 >/tmp/hmsserved.verify.out2 2>&1 &
+    # The restarted server also samples every request's spans into a trace
+    # written after its SIGTERM drain (checked below).
+    TRACE=/tmp/hmsserved.verify.trace.json
+    rm -f "$TRACE"
+    /tmp/hmsserved.verify -addr 127.0.0.1:0 -snapshot "$SNAP" -snapshot-interval 0 \
+        -trace-sample 1 -trace-out "$TRACE" >/tmp/hmsserved.verify.out2 2>&1 &
     SRV_PID=$!
     trap 'kill "$SRV_PID" 2>/dev/null || true' EXIT
     wait_ready /tmp/hmsserved.verify.out2
@@ -162,10 +169,24 @@ if command -v curl >/dev/null 2>&1; then
     curl -fsS "http://$ADDR/v1/fleet/rank" -d '{"mix":"shared-squeeze"}' -o /tmp/hmsserved.verify.fleet2 -D - | grep -qi 'X-HMS-Cache: hit'
     cmp -s /tmp/hmsserved.verify.fleet1 /tmp/hmsserved.verify.fleet2 || {
         echo "verify: restored fleet solve differs from pre-crash solve"; exit 1; }
+    # The fleet route canonicalizes an arch alias at decode like /v1/rank:
+    # a 200, not a 404 unknown_arch. Not cached yet, so it runs on the pool.
+    FLEET_CODE=$(curl -sS -o /dev/null -w '%{http_code}' "http://$ADDR/v1/fleet/rank" \
+        -d '{"arch":"tesla-k80","mix":"balanced"}')
+    [ "$FLEET_CODE" = "200" ] || {
+        echo "verify: fleet arch alias answered $FLEET_CODE, want 200"; exit 1; }
     kill -TERM "$SRV_PID"
     wait "$SRV_PID"    # graceful shutdown must exit 0
     trap - EXIT
     grep -q "drained, bye" /tmp/hmsserved.verify.out2
+    # The drained trace holds the pool side of the sampled miss above: both
+    # ends of a handoff flow arrow and the pool-track search span.
+    tr -d '\n' <"$TRACE" | grep -Eq '"name": "handoff", *"ph": "s"' || {
+        echo "verify: sampled trace has no handoff flow start"; exit 1; }
+    tr -d '\n' <"$TRACE" | grep -Eq '"name": "handoff", *"ph": "f"' || {
+        echo "verify: sampled trace has no handoff flow end"; exit 1; }
+    grep -q '"name": "search [0-9a-f]' "$TRACE" || {
+        echo "verify: sampled trace has no pool search span"; exit 1; }
 
     # Corrupt-snapshot smoke: damage the snapshot, and the next boot must
     # degrade to cold — skipped entries counted in /metrics, requests fine.
@@ -183,8 +204,8 @@ if command -v curl >/dev/null 2>&1; then
     rm -f /tmp/hmsserved.verify /tmp/hmsserved.verify.out /tmp/hmsserved.verify.out2 \
         /tmp/hmsserved.verify.out3 /tmp/hmsserved.verify.body1 /tmp/hmsserved.verify.body2 \
         /tmp/hmsserved.verify.fleet1 /tmp/hmsserved.verify.fleet2 \
-        /tmp/hmsserved.verify.arches /tmp/hmsserved.verify.compare "$SNAP"
-    echo "service smoke: OK (warm boot, crash/restart, corrupt snapshot, fleet, multi-arch compare)"
+        /tmp/hmsserved.verify.arches /tmp/hmsserved.verify.compare "$SNAP" "$TRACE"
+    echo "service smoke: OK (warm boot, crash/restart, corrupt snapshot, fleet, fleet arch alias, multi-arch compare, sampled trace)"
 else
     echo "service smoke: skipped (curl not found)"
 fi
