@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"gpuhms"
-	"gpuhms/internal/baseline"
 	"gpuhms/internal/core"
 	"gpuhms/internal/dram"
 	"gpuhms/internal/experiments"
@@ -23,6 +22,7 @@ import (
 	"gpuhms/internal/placement"
 	"gpuhms/internal/queuing"
 	"gpuhms/internal/sim"
+	"gpuhms/internal/train"
 )
 
 var (
@@ -274,11 +274,11 @@ func BenchmarkPredict(b *testing.B) {
 }
 
 // BenchmarkTrainOverlap measures fitting the Eq 11 coefficients on the full
-// training set (fresh context each iteration — nothing memoized).
+// training set exactly as advisor.New does (fresh session each iteration —
+// nothing memoized).
 func BenchmarkTrainOverlap(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		c := experiments.NewContext(gpu.MustLookup("k80"), 1)
-		if _, err := c.TrainOverlap(baseline.Ours()); err != nil {
+		if _, err := train.New(gpu.MustLookup("k80"), 1).Overlap(core.FullOptions()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -96,9 +96,7 @@ import (
 	"time"
 
 	"gpuhms/internal/advisor"
-	"gpuhms/internal/baseline"
 	"gpuhms/internal/core"
-	"gpuhms/internal/experiments"
 	"gpuhms/internal/fleet"
 	"gpuhms/internal/gpu"
 	"gpuhms/internal/hmserr"
@@ -106,6 +104,7 @@ import (
 	"gpuhms/internal/obs"
 	"gpuhms/internal/placement"
 	"gpuhms/internal/service"
+	"gpuhms/internal/sim"
 )
 
 // exitPartial is the exit code of a search stopped by -budget or -timeout:
@@ -334,9 +333,7 @@ func main() {
 		os.Exit(exitUnknownName)
 	}
 
-	ctx := experiments.NewContext(cfg, *scale)
-	ctx.Sim.Recorder = rec
-	tr := ctx.Trace(*kernel)
+	tr := spec.Trace(*scale)
 
 	samplePl, err := spec.SamplePlacement(tr)
 	if err != nil {
@@ -351,33 +348,28 @@ func main() {
 		log.Fatalf("sample placement: %v", err)
 	}
 
-	// Obtain the full model: load a previously trained one, or train the
-	// overlap coefficients on the built-in training placements.
-	var model *core.Model
+	// Obtain the advisor as fleet mode and hmsserved do: load a saved model,
+	// or train the overlap coefficients on the built-in training placements.
+	var adv *advisor.Advisor
 	if *loadFr != "" {
 		f, err := os.Open(*loadFr)
 		if err != nil {
 			log.Fatal(err)
 		}
-		opts, err := core.LoadOptions(f, cfg.Name)
+		adv, err = advisor.NewFromSaved(cfg, f)
 		f.Close()
 		if err != nil {
 			log.Fatal(err)
 		}
-		model = core.NewModel(cfg, opts)
-	} else {
-		var err error
-		model, err = ctx.Model(baseline.Ours())
-		if err != nil {
-			log.Fatal(err)
-		}
+	} else if adv, err = advisor.New(cfg); err != nil {
+		log.Fatal(err)
 	}
 	if *saveTo != "" {
 		f, err := os.Create(*saveTo)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := model.Save(f, cfg.Name); err != nil {
+		if err := adv.Save(f); err != nil {
 			log.Fatal(err)
 		}
 		if err := f.Close(); err != nil {
@@ -386,11 +378,14 @@ func main() {
 		fmt.Printf("trained model saved to %s\n", *saveTo)
 	}
 
-	prof, err := ctx.Sim.RunContext(runCtx, tr, samplePl, samplePl)
+	// Profiling and -measure run on a simulator carrying the recorder.
+	simulator := sim.New(cfg)
+	simulator.Recorder = rec
+	prof, err := simulator.RunContext(runCtx, tr, samplePl, samplePl)
 	if err != nil {
 		log.Fatalf("profiling sample placement: %v", err)
 	}
-	pred, err := core.NewPredictor(model, tr, samplePl,
+	pred, err := core.NewPredictor(adv.Model, tr, samplePl,
 		core.SampleProfile{TimeNS: prof.TimeNS, Events: prof.Events})
 	if err != nil {
 		log.Fatal(err)
@@ -519,9 +514,9 @@ func main() {
 		// Measure only the displayed rows — a -top 5 ranking costs 5
 		// simulator runs, not one per enumerated candidate.
 		for i := range rows {
-			m, err := ctx.Measure(*kernel, samplePl, rows[i].pl)
+			m, err := simulator.Run(tr, samplePl, rows[i].pl)
 			if err != nil {
-				log.Fatal(err)
+				log.Fatalf("measure %s: %v", rows[i].pl.Format(tr), err)
 			}
 			rows[i].measured = m.TimeNS
 		}

@@ -14,15 +14,14 @@ import (
 	"fmt"
 	"io"
 
-	"gpuhms/internal/baseline"
 	"gpuhms/internal/core"
-	"gpuhms/internal/experiments"
 	"gpuhms/internal/gpu"
 	"gpuhms/internal/hmserr"
 	"gpuhms/internal/obs"
 	"gpuhms/internal/placement"
 	"gpuhms/internal/sim"
 	"gpuhms/internal/trace"
+	"gpuhms/internal/train"
 )
 
 // checkConfig validates an architecture before internals (which assume a
@@ -69,12 +68,13 @@ func New(cfg *gpu.Config) (adv *Advisor, err error) {
 	if err := checkConfig(cfg); err != nil {
 		return nil, err
 	}
-	ctx := experiments.NewContext(cfg, 1)
-	m, err := ctx.Model(baseline.Ours())
+	opts := core.FullOptions()
+	coeffs, err := train.New(cfg, 1).Overlap(opts)
 	if err != nil {
 		return nil, fmt.Errorf("gpuhms: training advisor: %w", err)
 	}
-	return &Advisor{Cfg: cfg, Model: m}, nil
+	opts.OverlapCoeffs = coeffs
+	return &Advisor{Cfg: cfg, Model: core.NewModel(cfg, opts)}, nil
 }
 
 // NewFromSaved reconstructs an advisor from a previously saved model,

@@ -6,8 +6,6 @@
 package experiments
 
 import (
-	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 
@@ -16,272 +14,40 @@ import (
 	"gpuhms/internal/dram"
 	"gpuhms/internal/gpu"
 	"gpuhms/internal/kernels"
-	"gpuhms/internal/placement"
-	"gpuhms/internal/sim"
-	"gpuhms/internal/trace"
+	"gpuhms/internal/train"
 )
 
-// Context carries the architecture, the ground-truth simulator, and a
-// memoization layer so each (kernel, placement) pair is measured once per
-// session. Measurement is safe for concurrent use; Prewarm fans simulator
-// runs out over the CPUs.
+// Context is a training session (memoized traces and measurements, shared by
+// every figure and by Eq 11 training) plus the trained coefficients of each
+// model variant.
 type Context struct {
-	Cfg   *gpu.Config
-	Sim   *sim.Simulator
-	Scale int
-
-	mu       sync.Mutex
-	traces   map[string]*trace.Trace
-	measures map[string]*sim.Measurement
-	coeffs   map[string][]float64 // trained Eq 11 coefficients per variant
+	*train.Session
+	coeffs sync.Map // variant name → trained Eq 11 coefficients
 }
 
 // NewContext builds an experiment context at the given workload scale
 // (1 = the scale used throughout the paper reproduction).
 func NewContext(cfg *gpu.Config, scale int) *Context {
-	if scale < 1 {
-		scale = 1
-	}
-	return &Context{
-		Cfg:      cfg,
-		Sim:      sim.New(cfg),
-		Scale:    scale,
-		traces:   make(map[string]*trace.Trace),
-		measures: make(map[string]*sim.Measurement),
-		coeffs:   make(map[string][]float64),
-	}
-}
-
-// specOf looks up a kernel spec (thin wrapper for experiment files).
-func specOf(kernel string) (kernels.Spec, bool) { return kernels.Get(kernel) }
-
-// Trace returns the (memoized) trace of a kernel.
-func (c *Context) Trace(kernel string) *trace.Trace {
-	c.mu.Lock()
-	if t, ok := c.traces[kernel]; ok {
-		c.mu.Unlock()
-		return t
-	}
-	c.mu.Unlock()
-	// Generate outside the lock (generation is deterministic, so a racing
-	// duplicate is identical and harmless).
-	t := kernels.MustGet(kernel).Trace(c.Scale)
-	c.mu.Lock()
-	if prev, ok := c.traces[kernel]; ok {
-		t = prev
-	} else {
-		c.traces[kernel] = t
-	}
-	c.mu.Unlock()
-	return t
-}
-
-// Measure returns the (memoized) ground-truth measurement of a placement.
-func (c *Context) Measure(kernel string, sample, target *placement.Placement) (*sim.Measurement, error) {
-	key := kernel + "|" + target.String()
-	c.mu.Lock()
-	if m, ok := c.measures[key]; ok {
-		c.mu.Unlock()
-		return m, nil
-	}
-	c.mu.Unlock()
-	m, err := c.Sim.Run(c.Trace(kernel), sample, target)
-	if err != nil {
-		return nil, fmt.Errorf("measure %s %s: %w", kernel, target, err)
-	}
-	c.mu.Lock()
-	if prev, ok := c.measures[key]; ok {
-		m = prev // simulation is deterministic; keep the first
-	} else {
-		c.measures[key] = m
-	}
-	c.mu.Unlock()
-	return m, nil
-}
-
-// Prewarm measures the cases' placements (and their samples) concurrently,
-// one worker per CPU, so subsequent Measure calls hit the memo. Simulation
-// is deterministic, so parallel warming cannot change any result.
-func (c *Context) Prewarm(cases []Case) error {
-	jobs := make(chan Case)
-	errs := make(chan error, 1)
-	var failed sync.Once
-	var wg sync.WaitGroup
-	report := func(err error) {
-		failed.Do(func() { errs <- err })
-	}
-	workers := runtime.GOMAXPROCS(0)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Keep draining after a failure so the producer never blocks.
-			for cs := range jobs {
-				if len(errs) > 0 {
-					continue
-				}
-				if _, err := c.Measure(cs.Kernel, cs.Sample, cs.Sample); err != nil {
-					report(err)
-					continue
-				}
-				if _, err := c.Measure(cs.Kernel, cs.Sample, cs.Target); err != nil {
-					report(err)
-				}
-			}
-		}()
-	}
-	for _, cs := range cases {
-		jobs <- cs
-	}
-	close(jobs)
-	wg.Wait()
-	select {
-	case err := <-errs:
-		return err
-	default:
-		return nil
-	}
-}
-
-// Case is one data placement test of Table IV.
-type Case struct {
-	Kernel   string
-	Label    string // the paper's bar label, e.g. "NN_C", "SCAN_2"
-	Spec     kernels.Spec
-	Trace    *trace.Trace
-	Sample   *placement.Placement
-	Target   *placement.Placement
-	IsSample bool
-}
-
-// shortName maps kernel registry names to the label prefixes used in the
-// paper's figures.
-var shortName = map[string]string{
-	"neuralnet": "NN",
-	"reduction": "Reduction",
-	"scan":      "SCAN",
-	"stencil2d": "stencil",
-	"md5hash":   "md5hash",
-	"s3d":       "S3D",
-}
-
-func label(kernel string, sample, target *placement.Placement, idx int) string {
-	short, ok := shortName[kernel]
-	if !ok {
-		short = kernel
-	}
-	// Single-array moves get the moved array's destination space in the
-	// label (the paper's NN_C / NN_S style); multi-moves get an index.
-	var moved []int
-	for i := range target.Spaces {
-		if target.Spaces[i] != sample.Spaces[i] {
-			moved = append(moved, i)
-		}
-	}
-	if len(moved) == 1 {
-		return fmt.Sprintf("%s_%s", short, target.Spaces[moved[0]])
-	}
-	return fmt.Sprintf("%s_%d", short, idx+1)
-}
-
-// Cases enumerates the placement tests of the named kernels, optionally
-// including each kernel's sample placement as a case.
-func (c *Context) Cases(names []string, includeSamples bool) ([]Case, error) {
-	var out []Case
-	for _, name := range names {
-		spec := kernels.MustGet(name)
-		t := c.Trace(name)
-		sample, err := spec.SamplePlacement(t)
-		if err != nil {
-			return nil, err
-		}
-		targets, err := spec.Targets(t)
-		if err != nil {
-			return nil, err
-		}
-		if includeSamples {
-			out = append(out, Case{
-				Kernel: name, Label: name + "_sample", Spec: spec, Trace: t,
-				Sample: sample, Target: sample, IsSample: true,
-			})
-		}
-		for i, target := range targets {
-			out = append(out, Case{
-				Kernel: name, Label: label(name, sample, target, i),
-				Spec: spec, Trace: t, Sample: sample, Target: target,
-			})
-		}
-	}
-	return out, nil
+	return &Context{Session: train.New(cfg, scale)}
 }
 
 // Model builds a trained model for a variant: variants using the Eq 11
-// overlap are fit (once, memoized) on the Table IV training placements.
+// overlap are fit (once, memoized per variant name) on the Table IV training
+// placements.
 func (c *Context) Model(v baseline.Variant) (*core.Model, error) {
 	opts := v.Opts
 	if v.NeedsTraining {
-		coeffs, err := c.TrainOverlap(v)
-		if err != nil {
-			return nil, err
+		coeffs, ok := c.coeffs.Load(v.Name)
+		if !ok {
+			fit, err := c.Overlap(v.Opts)
+			if err != nil {
+				return nil, err
+			}
+			coeffs, _ = c.coeffs.LoadOrStore(v.Name, fit)
 		}
-		opts.OverlapCoeffs = coeffs
+		opts.OverlapCoeffs = coeffs.([]float64)
 	}
 	return core.NewModel(c.Cfg, opts), nil
-}
-
-// TrainOverlap fits the Eq 11 coefficients for a variant on the training
-// kernels' placements (Table IV bottom), memoized per variant name.
-func (c *Context) TrainOverlap(v baseline.Variant) ([]float64, error) {
-	c.mu.Lock()
-	coeffs, ok := c.coeffs[v.Name]
-	c.mu.Unlock()
-	if ok {
-		return coeffs, nil
-	}
-	untrained := core.NewModel(c.Cfg, v.Opts) // zero-overlap predictions
-	var samples []core.OverlapSample
-	cases, err := c.Cases(kernels.TrainingNames(), true)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.Prewarm(cases); err != nil {
-		return nil, err
-	}
-	predictors := make(map[string]*core.Predictor)
-	for _, cs := range cases {
-		pr, ok := predictors[cs.Kernel]
-		if !ok {
-			prof, err := c.Measure(cs.Kernel, cs.Sample, cs.Sample)
-			if err != nil {
-				return nil, err
-			}
-			pr, err = core.NewPredictor(untrained, cs.Trace, cs.Sample,
-				core.SampleProfile{TimeNS: prof.TimeNS, Events: prof.Events})
-			if err != nil {
-				return nil, err
-			}
-			predictors[cs.Kernel] = pr
-		}
-		pred, err := pr.Predict(cs.Target)
-		if err != nil {
-			return nil, err
-		}
-		meas, err := c.Measure(cs.Kernel, cs.Sample, cs.Target)
-		if err != nil {
-			return nil, err
-		}
-		obs := untrained.OverlapObservation(pred, meas.TimeNS)
-		obs.Kernel, obs.Placement = cs.Kernel, cs.Target.Format(cs.Trace)
-		samples = append(samples, obs)
-	}
-	coeffs, err = core.FitOverlap(samples)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	c.coeffs[v.Name] = coeffs
-	c.mu.Unlock()
-	return coeffs, nil
 }
 
 // EvalKernels returns the evaluation kernel names (Table IV top half),

@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"gpuhms/internal/baseline"
+	"gpuhms/internal/core"
 	"gpuhms/internal/gpu"
 	"gpuhms/internal/stats"
 )
@@ -188,20 +190,66 @@ func TestCasesEnumeration(t *testing.T) {
 }
 
 func TestTrainingMemoization(t *testing.T) {
-	v := struct{ a, b []float64 }{}
-	var err error
-	v.a, err = sharedCtx.TrainOverlap(baseline.Ours())
+	// Concurrent first calls on a fresh context race to fit; every caller
+	// must still get the one memoized coefficient slice.
+	c := NewContext(gpu.KeplerK80(), 1)
+	models := make([]*core.Model, 2)
+	errs := make([]error, len(models))
+	var wg sync.WaitGroup
+	for i := range models {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			models[i], errs[i] = c.Model(baseline.Ours())
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	again, err := c.Model(baseline.Ours())
 	if err != nil {
 		t.Fatal(err)
 	}
-	v.b, err = sharedCtx.TrainOverlap(baseline.Ours())
-	if err != nil {
-		t.Fatal(err)
+	first := models[0].Opts.OverlapCoeffs
+	if len(first) != 7 {
+		t.Fatalf("coefficient count = %d, want 7 (Eq 11)", len(first))
 	}
-	if &v.a[0] != &v.b[0] {
-		t.Error("training should be memoized per variant")
+	for _, m := range append(models[1:], again) {
+		if &m.Opts.OverlapCoeffs[0] != &first[0] {
+			t.Error("training should be memoized per variant")
+		}
 	}
-	if len(v.a) != 7 {
-		t.Errorf("coefficient count = %d, want 7 (Eq 11)", len(v.a))
+}
+
+// TestTable1RenderTieOrder pins the event-selection summary's order: equal
+// mean similarities (the constant-cache events tie on K80) print by name,
+// identically on every call.
+func TestTable1RenderTieOrder(t *testing.T) {
+	rep := &Table1Report{AllEvents: map[string][]float64{
+		"zeta": {0.5}, "alpha": {0.5}, "mu": {0.25, 0.75}, "top": {0.9},
+		"eta": {0.5}, "beta": {0.5}, "low": {0.1},
+	}}
+	first := rep.Render()
+	i := strings.Index(first, "All events by mean similarity")
+	if i < 0 {
+		t.Fatalf("summary missing:\n%s", first)
+	}
+	var names []string
+	for _, line := range strings.Split(first[i:], "\n")[1:] {
+		if f := strings.Fields(line); len(f) == 2 {
+			names = append(names, f[0])
+		}
+	}
+	want := []string{"top", "alpha", "beta", "eta", "mu", "zeta", "low"}
+	if strings.Join(names, ",") != strings.Join(want, ",") {
+		t.Errorf("summary order %v, want %v", names, want)
+	}
+	for n := 0; n < 50; n++ {
+		if got := rep.Render(); got != first {
+			t.Fatalf("render %d differs:\n%s\nvs\n%s", n, got, first)
+		}
 	}
 }

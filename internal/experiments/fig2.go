@@ -6,8 +6,6 @@ import (
 
 	"gpuhms/internal/addrmode"
 	"gpuhms/internal/gpu"
-	"gpuhms/internal/kernels"
-	"gpuhms/internal/placement"
 	"gpuhms/internal/trace"
 )
 
@@ -40,23 +38,17 @@ func (c *Context) Fig2() (*Fig2Report, error) {
 		}
 	}
 
-	spec := kernels.MustGet("vecadd")
-	t := c.Trace("vecadd")
-	sample, err := spec.SamplePlacement(t)
+	k, err := c.Tests("vecadd")
 	if err != nil {
 		return nil, err
 	}
+	t, sample := k.Trace, k.Sample
 	st := trace.ComputeStats(t)
 	base, err := c.Measure("vecadd", sample, sample)
 	if err != nil {
 		return nil, err
 	}
-	targets, err := spec.Targets(t)
-	if err != nil {
-		return nil, err
-	}
-	all := append([]*placement.Placement{sample}, targets...)
-	for _, pl := range all {
+	for _, pl := range k.Placements {
 		m, err := c.Measure("vecadd", sample, pl)
 		if err != nil {
 			return nil, err

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"gpuhms/internal/kernels"
 	"gpuhms/internal/sim"
 	"gpuhms/internal/stats"
 )
@@ -43,7 +44,7 @@ func (c *Context) Fig4() (*Fig4Report, error) {
 	rep := &Fig4Report{}
 	for _, kernel := range Fig4Kernels {
 		t := c.Trace(kernel)
-		spec, _ := specOf(kernel)
+		spec := kernels.MustGet(kernel)
 		sample, err := spec.SamplePlacement(t)
 		if err != nil {
 			return nil, err

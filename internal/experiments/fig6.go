@@ -7,7 +7,6 @@ import (
 
 	"gpuhms/internal/baseline"
 	"gpuhms/internal/core"
-	"gpuhms/internal/placement"
 	"gpuhms/internal/trace"
 )
 
@@ -51,17 +50,11 @@ func (r *Fig6Report) RankAccuracy(rank func(Fig6Row) int) (exact bool, footrule 
 // model's prediction, and by the PORPLE-style score.
 func (c *Context) Fig6() (*Fig6Report, error) {
 	const kernel = "neuralnet"
-	spec, _ := specOf(kernel)
-	t := c.Trace(kernel)
-	sample, err := spec.SamplePlacement(t)
+	cases, err := c.Cases([]string{kernel}, true)
 	if err != nil {
 		return nil, err
 	}
-	targets, err := spec.Targets(t)
-	if err != nil {
-		return nil, err
-	}
-	placements := append([]*placement.Placement{sample}, targets...)
+	t, sample := cases[0].Trace, cases[0].Sample
 
 	model, err := c.Model(baseline.Ours())
 	if err != nil {
@@ -80,7 +73,8 @@ func (c *Context) Fig6() (*Fig6Report, error) {
 	st := trace.ComputeStats(t)
 
 	rep := &Fig6Report{}
-	for i, pl := range placements {
+	for _, cs := range cases {
+		pl := cs.Target
 		m, err := c.Measure(kernel, sample, pl)
 		if err != nil {
 			return nil, err
@@ -89,9 +83,9 @@ func (c *Context) Fig6() (*Fig6Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		lbl := "NN_sample"
-		if i > 0 {
-			lbl = label(kernel, sample, pl, i-1)
+		lbl := cs.Label
+		if cs.IsSample {
+			lbl = "NN_sample"
 		}
 		rep.Rows = append(rep.Rows, Fig6Row{
 			Label:       lbl,

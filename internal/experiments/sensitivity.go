@@ -87,17 +87,11 @@ func (c *Context) Sensitivity() (*SensitivityReport, error) {
 }
 
 func sensitivityCase(ctx *Context, model *core.Model, cfg *gpu.Config, kernel string) (*SensitivityRow, error) {
-	spec, _ := specOf(kernel)
-	t := ctx.Trace(kernel)
-	sample, err := spec.SamplePlacement(t)
+	k, err := ctx.Tests(kernel)
 	if err != nil {
 		return nil, err
 	}
-	targets, err := spec.Targets(t)
-	if err != nil {
-		return nil, err
-	}
-	placements := append([]*placement.Placement{sample}, targets...)
+	t, sample, placements := k.Trace, k.Sample, k.Placements
 
 	prof, err := ctx.Measure(kernel, sample, sample)
 	if err != nil {

@@ -101,7 +101,8 @@ func (r *Table1Report) Render() string {
 		b.WriteByte('\n')
 	}
 
-	// Event-selection summary: mean similarity of every event, descending.
+	// Event-selection summary: mean similarity of every event, descending,
+	// ties (the constant-cache events on K80) by name.
 	type agg struct {
 		name string
 		mean float64
@@ -110,7 +111,9 @@ func (r *Table1Report) Render() string {
 	for name, sims := range r.AllEvents {
 		all = append(all, agg{name, stats.Mean(sims)})
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].mean > all[j].mean })
+	sort.Slice(all, func(i, j int) bool {
+		return all[i].mean > all[j].mean || all[i].mean == all[j].mean && all[i].name < all[j].name
+	})
 	b.WriteString("\nAll events by mean similarity across kernels:\n")
 	for _, a := range all {
 		fmt.Fprintf(&b, "  %-28s %6.3f\n", a.name, a.mean)

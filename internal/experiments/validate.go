@@ -8,7 +8,6 @@ import (
 	"gpuhms/internal/baseline"
 	"gpuhms/internal/core"
 	"gpuhms/internal/kernels"
-	"gpuhms/internal/placement"
 	"gpuhms/internal/stats"
 )
 
@@ -30,6 +29,9 @@ type ValidateRow struct {
 // release would gate on.
 type ValidateReport struct {
 	Rows []ValidateRow
+	// Skipped lists the placement tests, as "kernel placement", that do not
+	// fit the architecture and were left out of the sweep.
+	Skipped []string
 }
 
 // Validate runs the sweep on the context's architecture.
@@ -47,17 +49,14 @@ func (c *Context) Validate() (*ValidateReport, error) {
 	}
 	rep := &ValidateReport{}
 	for _, kernel := range kernels.Names() {
-		spec := kernels.MustGet(kernel)
-		t := c.Trace(kernel)
-		sample, err := spec.SamplePlacement(t)
+		k, err := c.Tests(kernel)
 		if err != nil {
 			return nil, err
 		}
-		targets, err := spec.Targets(t)
-		if err != nil {
-			return nil, err
+		t, sample, placements := k.Trace, k.Sample, k.Placements
+		for _, pl := range k.Skipped {
+			rep.Skipped = append(rep.Skipped, kernel+" "+pl.String())
 		}
-		placements := append([]*placement.Placement{sample}, targets...)
 
 		prof, err := c.Measure(kernel, sample, sample)
 		if err != nil {
@@ -69,7 +68,7 @@ func (c *Context) Validate() (*ValidateReport, error) {
 			return nil, err
 		}
 
-		row := ValidateRow{Kernel: kernel, Suite: spec.Suite, Placements: len(placements)}
+		row := ValidateRow{Kernel: kernel, Suite: kernels.MustGet(kernel).Suite, Placements: len(placements)}
 		type pair struct{ pred, meas float64 }
 		pairs := make([]pair, 0, len(placements))
 		for _, pl := range placements {
@@ -160,5 +159,9 @@ func (r *ValidateReport) Render() string {
 	}
 	fmt.Fprintf(&b, "grand mean error %.1f%%; best-placement agreement %.0f%%\n",
 		r.MeanError(), 100*r.BestAgreementRate())
+	if len(r.Skipped) > 0 {
+		fmt.Fprintf(&b, "skipped %d placement tests that do not fit the architecture: %s\n",
+			len(r.Skipped), strings.Join(r.Skipped, "; "))
+	}
 	return b.String()
 }

@@ -1,6 +1,13 @@
 package experiments
 
-import "testing"
+import (
+	"fmt"
+	"slices"
+	"strings"
+	"testing"
+
+	"gpuhms/internal/gpu"
+)
 
 // TestValidateSweep runs the whole-corpus acceptance sweep: every kernel's
 // placements predicted and measured, with bounded error and mostly-correct
@@ -14,6 +21,9 @@ func TestValidateSweep(t *testing.T) {
 	if len(rep.Rows) < 20 {
 		t.Fatalf("only %d kernels swept", len(rep.Rows))
 	}
+	if len(rep.Skipped) != 0 {
+		t.Errorf("k80 skipped %v, want none", rep.Skipped)
+	}
 	if mean := rep.MeanError(); mean > 30 {
 		t.Errorf("grand mean error %.1f%% too high", mean)
 	}
@@ -26,6 +36,36 @@ func TestValidateSweep(t *testing.T) {
 		}
 		if row.MaxErrPct > 150 {
 			t.Errorf("%s max error %.1f%% — model diverged", row.Kernel, row.MaxErrPct)
+		}
+	}
+}
+
+// TestValidateSkipsTargetsThatDoNotFit runs the sweep on the other
+// registered arches (TestValidateSweep covers the K80): the K80-sized
+// placement tests that exceed an architecture's capacities are skipped and
+// counted instead of aborting the sweep.
+func TestValidateSkipsTargetsThatDoNotFit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains and sweeps the corpus per architecture; skipped in -short")
+	}
+	for _, arch := range []string{"fermi", "hbm", "chiplet"} {
+		rep, err := NewContext(gpu.MustLookup(arch), 1).Validate()
+		if err != nil {
+			t.Fatalf("%s: %v", arch, err)
+		}
+		t.Logf("%s: grand mean error %.1f%%, best agreement %.0f%%, %d skipped",
+			arch, rep.MeanError(), 100*rep.BestAgreementRate(), len(rep.Skipped))
+		if arch != "chiplet" {
+			if len(rep.Skipped) != 0 {
+				t.Errorf("%s skipped %v, want none", arch, rep.Skipped)
+			}
+			continue
+		}
+		if !slices.Contains(rep.Skipped, "neuralnet a0:C,a1:G,a2:G") {
+			t.Errorf("chiplet skipped %v, want neuralnet a0:C,a1:G,a2:G among them", rep.Skipped)
+		}
+		if !strings.Contains(rep.Render(), fmt.Sprintf("skipped %d placement tests", len(rep.Skipped))) {
+			t.Error("render does not report the skipped tests")
 		}
 	}
 }

@@ -1,9 +1,11 @@
 #!/bin/sh
 # verify.sh — the repository's verification gate: vet (plus staticcheck when
-# installed), build, vet and test of the perfbench benchmark module, the full
-# test suite under the race detector, the shard-enumerator fuzz seeds under
-# race, one-pass benchmark smokes of parallel ranking and delta evaluation,
-# the wall-clock bounds the race pass skips (run here without -race), a short
+# installed), build, a guard keeping the paper harness (internal/experiments,
+# microbench, baseline) out of hmsserved and hmsplace, vet and test of the
+# perfbench benchmark module, the full test suite under the race detector,
+# the shard-enumerator fuzz seeds under race, one-pass benchmark smokes of
+# parallel ranking and delta evaluation, the wall-clock bounds the race pass
+# skips (run here without -race), a short
 # smoke of the observability no-op-overhead contract (the disabled recorder
 # must add zero allocations), a short chaos soak (scripts/soak.sh runs the
 # long one), and an end-to-end service smoke covering warm boot,
@@ -38,6 +40,18 @@ fi
 
 echo "== go build ./..."
 go build ./...
+
+echo "== serving binaries stay off the paper harness"
+# hmsserved and hmsplace train their model through internal/train; the
+# figure harness, Algorithm 1 and the comparison models must never be linked
+# into them.
+harness=$(go list -deps ./cmd/hmsserved ./cmd/hmsplace |
+    grep -E '^gpuhms/internal/(experiments|microbench|baseline)$' || true)
+if [ -n "$harness" ]; then
+    echo "verify: serving binaries link the paper harness:" >&2
+    echo "$harness" >&2
+    exit 1
+fi
 
 echo "== perfbench module: vet + test"
 # perfbench (the repository benchmark, BENCHMARK.json) is its own Go module,
