@@ -120,9 +120,10 @@ func TestRankParallelSpeedup(t *testing.T) {
 	}
 }
 
-// TestPredictAllocs pins the allocation-lean evaluation loop: one spmv
-// prediction allocates at most 1000 objects (74895 before the loop was made
-// allocation-lean).
+// TestPredictAllocs pins the allocation-lean evaluation loop: one warm spmv
+// prediction allocates at most 48 objects (measured on amd64 with Go 1.24;
+// 74895 before the loop was made allocation-lean, 62 before the queuing
+// fixed point stopped allocating a dilated copy of the bank streams).
 func TestPredictAllocs(t *testing.T) {
 	a, tr, sample := benchSetup(t, "spmv")
 	pr, err := a.PredictorContext(context.Background(), tr, sample)
@@ -134,7 +135,7 @@ func TestPredictAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 1000 {
+	if allocs > 48 {
 		t.Errorf("predict allocates %.0f objects per op — the allocation-lean loop regressed", allocs)
 	}
 }

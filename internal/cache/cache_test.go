@@ -144,6 +144,15 @@ func TestNewPanicsOnDegenerateGeometry(t *testing.T) {
 	New(gpu.CacheGeometry{SizeBytes: 64, LineBytes: 64, Ways: 4})
 }
 
+func TestNewCheckedRejectsNonPowerOfTwoLines(t *testing.T) {
+	if _, err := NewChecked(gpu.CacheGeometry{SizeBytes: 96 << 10, LineBytes: 96, Ways: 4}); err == nil {
+		t.Error("96-byte lines accepted; tags are a shift and need a power of two")
+	}
+	if _, err := NewChecked(gpu.CacheGeometry{SizeBytes: 128 << 10, LineBytes: 128, Ways: 4}); err != nil {
+		t.Errorf("128-byte lines rejected: %v", err)
+	}
+}
+
 func TestLinesTouched(t *testing.T) {
 	tests := []struct {
 		name  string

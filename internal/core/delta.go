@@ -284,15 +284,11 @@ func (p *program) buildContribution(resolver *memsys.Hierarchy, array trace.Arra
 	}
 	offchip := space != gpu.Shared
 	if offchip {
+		// Every off-chip access with an active lane probes at least one line.
 		c.lineOff = make([]int32, len(insts)+1)
+		c.lines = make([]uint64, 0, len(insts))
 	}
 	c.minTag = ^uint64(0)
-	var seenTags map[uint64]struct{}
-	if space.Base() == gpu.Global {
-		c.dramOff = make([]int32, len(insts)+1)
-		c.setCounts = make([]uint16, p.l2x.NumSets())
-		seenTags = make(map[uint64]struct{})
-	}
 	for o, in := range insts {
 		res := resolver.ResolveScratch(b, in, &sc)
 		replays := res.Replays.Total()
@@ -326,24 +322,53 @@ func (p *program) buildContribution(resolver *memsys.Hierarchy, array trace.Arra
 				}
 			}
 		}
-		if space.Base() == gpu.Global {
-			c.l2Acc += int64(len(res.Lines))
-			for _, ln := range res.Lines {
-				tag := p.l2x.Tag(ln)
-				if _, ok := seenTags[tag]; ok {
-					continue
-				}
-				seenTags[tag] = struct{}{}
-				c.dramLines = append(c.dramLines, ln)
-				if s := p.l2x.Set(tag); c.setCounts[s] != ^uint16(0) {
-					c.setCounts[s]++
-				}
-				c.l2Miss++
-			}
-			c.dramOff[o+1] = int32(len(c.dramLines))
-		}
+	}
+	if space.Base() == gpu.Global {
+		c.firstTouch(p.l2x)
 	}
 	return c
+}
+
+// firstTouch derives a global-space contribution's L2 tables from its line
+// stream: one L2 probe per line, and the first-touch lines (one per distinct
+// tag, at its first probe) with their per-set counts. Distinct tags are
+// tracked in a bitset over the touched tag span [minTag, maxTag], which
+// placement capacity bounds to 1/(8·line bytes) of device memory. A first
+// pass sets the bits and counts the distinct tags, so dramLines is sized
+// exactly; the second walks the lines in probe order and clears each tag's
+// bit at its first touch.
+func (c *contribution) firstTouch(x cache.Indexer) {
+	c.l2Acc = int64(len(c.lines))
+	c.dramOff = make([]int32, len(c.lineOff))
+	c.setCounts = make([]uint16, x.NumSets())
+	if len(c.lines) == 0 {
+		return
+	}
+	seen := make([]uint64, (c.maxTag-c.minTag)/64+1)
+	n := 0
+	for _, ln := range c.lines {
+		t := x.Tag(ln) - c.minTag
+		if w, bit := t/64, uint64(1)<<(t%64); seen[w]&bit == 0 {
+			seen[w] |= bit
+			n++
+		}
+	}
+	c.dramLines = make([]uint64, 0, n)
+	for o := 1; o < len(c.lineOff); o++ {
+		for _, ln := range c.lines[c.lineOff[o-1]:c.lineOff[o]] {
+			tag := x.Tag(ln)
+			t := tag - c.minTag
+			if w, bit := t/64, uint64(1)<<(t%64); seen[w]&bit != 0 {
+				seen[w] &^= bit
+				c.dramLines = append(c.dramLines, ln)
+				if s := x.Set(tag); c.setCounts[s] != ^uint16(0) {
+					c.setCounts[s]++
+				}
+			}
+		}
+		c.dramOff[o] = int32(len(c.dramLines))
+	}
+	c.l2Miss = int64(n)
 }
 
 // groupSim is the memoized cache simulation of one per-SM cache space — the

@@ -8,6 +8,7 @@ import (
 
 	"gpuhms/internal/gpu"
 	"gpuhms/internal/kernels"
+	"gpuhms/internal/memsys"
 	"gpuhms/internal/placement"
 	"gpuhms/internal/trace"
 )
@@ -250,6 +251,51 @@ func BenchmarkPredictDelta(b *testing.B) {
 		if _, _, err := pr.PredictDelta(st, arrays[j], spaces[j]); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// contributionSink keeps BenchmarkBuildContribution's builds observable.
+var contributionSink *contribution
+
+// BenchmarkBuildContribution measures the cold half of an evaluation: every
+// array's accesses resolved under the sample binding and under every legal
+// single-array move, on spmv (global, texture and constant streams) and on
+// histogram (a shared scratch updated by atomics). One op builds them all.
+func BenchmarkBuildContribution(b *testing.B) {
+	for _, kernel := range []string{"spmv", "histogram"} {
+		b.Run("k80/"+kernel, func(b *testing.B) {
+			cfg := gpu.KeplerK80()
+			spec := kernels.MustGet(kernel)
+			tr := spec.Trace(1)
+			sample, err := spec.SamplePlacement(tr)
+			if err != nil {
+				b.Fatal(err)
+			}
+			type binding struct {
+				array trace.ArrayID
+				space gpu.MemSpace
+				addr  uint64
+			}
+			layout := placement.NewLayout(tr, sample)
+			var binds []binding
+			for i, sp := range sample.Spaces {
+				binds = append(binds, binding{trace.ArrayID(i), sp, addrKeyOf(layout, sp, i)})
+			}
+			arrays, spaces := legalMoves(tr, cfg, sample)
+			for j, a := range arrays {
+				moved := placement.Retarget(tr, layout, sample, sample.WithMove(trace.ArrayID(a), spaces[j]))
+				binds = append(binds, binding{trace.ArrayID(a), spaces[j], addrKeyOf(moved, spaces[j], a)})
+			}
+			prog := newProgram(cfg, tr)
+			resolver := memsys.NewHierarchy(cfg)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, bd := range binds {
+					contributionSink = prog.buildContribution(resolver, bd.array, bd.space, bd.addr)
+				}
+			}
+		})
 	}
 }
 

@@ -38,13 +38,7 @@ func (m *Model) dramLatency(an *Analysis, spanNS float64) (lat, queue float64) {
 		return service, 0
 	}
 	factor := spanNS / an.RawSpanNS
-	scaled := make([]queuing.Stream, len(an.BankStreams))
-	for i, s := range an.BankStreams {
-		s.TauA *= factor
-		s.SigmaA *= factor
-		scaled[i] = s
-	}
-	lat = queuing.SystemLatency(scaled, m.Opts.Variant)
+	lat = queuing.SystemLatency(an.BankStreams, factor, m.Opts.Variant)
 
 	// Second queuing stage: the memory controllers' data buses. The network
 	// is composable — the controller's queuing delay simply adds to every

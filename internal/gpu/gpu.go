@@ -422,7 +422,7 @@ func HBMClass() *Config {
 func Chiplet() *Config {
 	c := HBMClass()
 	c.Name = "Chiplet 2-die HBM (modeled)"
-	c.SMs = 28                 // one die's share of the package
+	c.SMs = 28 // one die's share of the package
 	c.L2.SizeBytes = 2048 << 10
 	c.ConstantBytes = 32 << 10 // local constant segment, half of K80's
 	c.GlobalBytes = 8 << 30    // local stack only
@@ -473,7 +473,10 @@ func (c *Config) CyclesPerNS() float64 { return c.ClockGHz }
 // NSPerCycle converts SM cycles into nanoseconds.
 func (c *Config) NSPerCycle() float64 { return 1 / c.ClockGHz }
 
-// Validate reports configuration inconsistencies.
+// Validate reports configuration inconsistencies. Line, transaction and
+// bank word sizes and the bank count must be powers of two: the warp-access
+// resolution kernel (internal/memsys) coalesces and banks addresses with
+// masks and shifts, never divides.
 func (c *Config) Validate() error {
 	switch {
 	case c.SMs <= 0:
@@ -489,14 +492,22 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("gpu: DRAM row bytes must be a power of two, got %d", c.DRAM.RowBytes)
 	case c.DRAM.ColumnBytes <= 0 || c.DRAM.ColumnBytes&(c.DRAM.ColumnBytes-1) != 0:
 		return fmt.Errorf("gpu: DRAM column bytes must be a power of two, got %d", c.DRAM.ColumnBytes)
+	case !pow2(c.TransactionBytes):
+		return fmt.Errorf("gpu: transaction bytes must be a positive power of two, got %d", c.TransactionBytes)
+	case !pow2(c.L2.LineBytes):
+		return fmt.Errorf("gpu: L2 line bytes must be a positive power of two, got %d", c.L2.LineBytes)
+	case !pow2(c.Constant.LineBytes):
+		return fmt.Errorf("gpu: constant cache line bytes must be a positive power of two, got %d", c.Constant.LineBytes)
+	case !pow2(c.Texture.LineBytes):
+		return fmt.Errorf("gpu: texture cache line bytes must be a positive power of two, got %d", c.Texture.LineBytes)
 	case c.L2.SizeBytes < c.L2.LineBytes*c.L2.Ways:
 		return fmt.Errorf("gpu: L2 geometry %+v has no sets", c.L2)
 	case c.Constant.SizeBytes < c.Constant.LineBytes*c.Constant.Ways:
 		return fmt.Errorf("gpu: constant cache geometry %+v has no sets", c.Constant)
 	case c.Texture.SizeBytes < c.Texture.LineBytes*c.Texture.Ways:
 		return fmt.Errorf("gpu: texture cache geometry %+v has no sets", c.Texture)
-	case c.SharedBanks <= 0 || c.SharedBankBytes <= 0:
-		return fmt.Errorf("gpu: shared memory %d banks x %d bytes invalid",
+	case !pow2(c.SharedBanks) || !pow2(c.SharedBankBytes):
+		return fmt.Errorf("gpu: shared memory %d banks x %d bytes invalid (both must be powers of two)",
 			c.SharedBanks, c.SharedBankBytes)
 	case c.Interposer.LatencyNS < 0:
 		return fmt.Errorf("gpu: interposer latency must be non-negative, got %g",
@@ -509,3 +520,6 @@ func (c *Config) Validate() error {
 	}
 	return nil
 }
+
+// pow2 reports whether n is a positive power of two.
+func pow2(n int) bool { return n > 0 && n&(n-1) == 0 }

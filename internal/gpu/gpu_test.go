@@ -36,6 +36,15 @@ func TestValidateCatchesBrokenConfigs(t *testing.T) {
 		{"const no sets", func(c *Config) { c.Constant = CacheGeometry{SizeBytes: 1, LineBytes: 64, Ways: 4} }},
 		{"tex no sets", func(c *Config) { c.Texture = CacheGeometry{SizeBytes: 1, LineBytes: 128, Ways: 4} }},
 		{"no shared banks", func(c *Config) { c.SharedBanks = 0 }},
+		{"transaction bytes not pow2", func(c *Config) { c.TransactionBytes = 96 }},
+		{"transaction bytes zero", func(c *Config) { c.TransactionBytes = 0 }},
+		{"L2 line not pow2", func(c *Config) { c.L2.LineBytes = 96 }},
+		{"const line not pow2", func(c *Config) { c.Constant.LineBytes = 48 }},
+		{"tex line not pow2", func(c *Config) { c.Texture.LineBytes = 24 }},
+		{"tex line negative", func(c *Config) { c.Texture.LineBytes = -32 }},
+		{"shared bank bytes not pow2", func(c *Config) { c.SharedBankBytes = 6 }},
+		{"shared bank bytes zero", func(c *Config) { c.SharedBankBytes = 0 }},
+		{"shared banks not pow2", func(c *Config) { c.SharedBanks = 24 }},
 	}
 	for _, m := range mutations {
 		t.Run(m.name, func(t *testing.T) {

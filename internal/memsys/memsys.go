@@ -76,22 +76,49 @@ func NewBinding(cfg *gpu.Config, t *trace.Trace, sample *placement.Placement, sa
 // addresses: device addresses for off-chip spaces (with 2D-texture
 // swizzling applied) or block-local addresses for shared memory. The
 // returned slice is appended to buf to let callers reuse storage.
+//
+// The space and the array's constants (element size, base or shared offset,
+// shared tile length) are fixed per instruction, so they are resolved once
+// and each lane costs a multiply-add; the shared tile wrap divides only for
+// lanes beyond the first tile.
 func (b *Binding) Addresses(in *trace.Inst, buf []uint64) []uint64 {
-	sp := b.Place.Of(in.Array)
-	arr := b.Trace.Array(in.Array)
+	id := in.Array
+	arr := b.Trace.Array(id)
+	eb := uint64(arr.Type.Bytes())
 	out := buf[:0]
-	for _, ix := range in.Index {
-		if ix == trace.Inactive {
-			continue
+	switch b.Place.Of(id).Base() {
+	case gpu.Shared:
+		// Layout.SharedAddress with the tile length hoisted.
+		off := b.Layout.SharedOff[id]
+		elems := uint64(placement.SharedFootprint(b.Trace, id)) / eb
+		if elems == 0 {
+			elems = 1
 		}
-		switch sp.Base() {
-		case gpu.Shared:
-			out = append(out, b.Layout.SharedAddress(b.Trace, in.Array, ix))
-		case gpu.Texture2D:
-			sw := cache.Swizzle2D(ix, arr.Width, b.Tex2DShift)
-			out = append(out, b.Layout.Base[in.Array]+uint64(sw)*uint64(arr.Type.Bytes()))
-		default:
-			out = append(out, b.Layout.Address(b.Trace, in.Array, ix))
+		for _, ix := range in.Index {
+			if ix == trace.Inactive {
+				continue
+			}
+			local := uint64(ix)
+			if local >= elems {
+				local %= elems
+			}
+			out = append(out, off+local*eb)
+		}
+	case gpu.Texture2D:
+		base := b.Layout.Base[id]
+		for _, ix := range in.Index {
+			if ix == trace.Inactive {
+				continue
+			}
+			out = append(out, base+uint64(cache.Swizzle2D(ix, arr.Width, b.Tex2DShift))*eb)
+		}
+	default:
+		base := b.Layout.Base[id]
+		for _, ix := range in.Index {
+			if ix == trace.Inactive {
+				continue
+			}
+			out = append(out, base+uint64(ix)*eb)
 		}
 	}
 	return out
@@ -146,94 +173,33 @@ func (h *Hierarchy) Access(sm *SMCaches, b *Binding, in *trace.Inst, addrBuf []u
 
 // AccessScratch is Access with every intermediate buffer drawn from sc,
 // making the per-instruction replay loop allocation-free once the buffers
-// have grown. The returned Result's DRAMLines aliases sc's storage: consume
-// it before the next AccessScratch call on the same Scratch.
+// have grown. It is ResolveScratch followed by ProbeLines, so the simulator
+// and the models share one resolution kernel. The returned Result's
+// DRAMLines aliases sc's storage: consume it before the next AccessScratch
+// call on the same Scratch.
 func (h *Hierarchy) AccessScratch(sm *SMCaches, b *Binding, in *trace.Inst, sc *Scratch) Result {
-	sp := b.Place.Of(in.Array)
-	res := Result{Space: sp, Store: in.Op != trace.OpLoad}
-	addrs := b.Addresses(in, sc.addrs)
-	sc.addrs = addrs
-	if len(addrs) == 0 {
-		res.Transactions = 1
-		return res
+	r := h.ResolveScratch(b, in, sc)
+	res := Result{
+		Space:           r.Space,
+		Store:           in.Op != trace.OpLoad,
+		Transactions:    r.Transactions,
+		Replays:         r.Replays,
+		SharedConflicts: r.SharedConflicts,
 	}
-
-	// Atomics serialize over same-address lanes regardless of the memory
-	// space (§III-B replay cause (6)); the per-space effects below apply on
-	// top.
-	if in.Op == trace.OpAtomic {
-		res.Replays.Add(replay.AtomicConflict, replay.AtomicConflictReplays(addrs))
-	}
-
-	switch sp.Base() {
-	case gpu.Shared:
-		res.Transactions = 1
-		conflicts := replay.SharedConflictReplays(h.Sh, addrs)
-		res.SharedConflicts = int(conflicts)
-		res.Replays.Add(replay.SharedBankConflict, conflicts)
-
-	case gpu.Global:
-		lines := cache.LinesTouchedInto(sc.lines, addrs, h.Cfg.TransactionBytes)
-		sc.lines = lines
-		res.Transactions = len(lines)
-		res.Replays.Add(replay.GlobalDivergence, int64(len(lines)-1))
-		dram := sc.dram[:0]
-		for _, ln := range lines {
-			res.L2Accesses++
-			if !h.L2.Access(ln) {
-				res.L2Misses++
-				dram = append(dram, ln)
-			}
-		}
-		sc.dram = dram
-		res.DRAMLines = dram
-
+	pc, dram := h.ProbeLines(sm, r.Space, r.Lines, sc.dram[:0])
+	sc.dram = dram
+	switch r.Space.Base() {
 	case gpu.Constant:
-		// Constant memory serializes over distinct words; each distinct
-		// word beyond the first is a divergence replay (cause 3). Distinct
-		// constant-cache lines are then probed; each miss is one replay
-		// (cause 2) and one L2 access.
-		words := cache.LinesTouchedInto(sc.words, addrs, b.Trace.Array(in.Array).Type.Bytes())
-		sc.words = words
-		res.Replays.Add(replay.ConstantDivergence, int64(len(words)-1))
-		lines := cache.LinesTouchedInto(sc.lines, addrs, h.Cfg.Constant.LineBytes)
-		sc.lines = lines
-		res.Transactions = len(words)
-		dram := sc.dram[:0]
-		for _, ln := range lines {
-			res.ConstAccesses++
-			if !sm.Const.Access(ln) {
-				res.ConstMiss++
-				res.Replays.Add(replay.ConstantMiss, 1)
-				res.L2Accesses++
-				if !h.L2.Access(ln) {
-					res.L2Misses++
-					dram = append(dram, ln)
-				}
-			}
-		}
-		sc.dram = dram
-		res.DRAMLines = dram
-
+		res.ConstAccesses = len(r.Lines)
+		res.ConstMiss = int(pc.ConstMisses)
+		res.Replays.Add(replay.ConstantMiss, pc.ConstMisses)
 	case gpu.Texture1D, gpu.Texture2D:
-		lines := cache.LinesTouchedInto(sc.lines, addrs, h.Cfg.Texture.LineBytes)
-		sc.lines = lines
-		res.Transactions = len(lines)
-		dram := sc.dram[:0]
-		for _, ln := range lines {
-			res.TexAccesses++
-			if !sm.Tex.Access(ln) {
-				res.TexMiss++
-				res.L2Accesses++
-				if !h.L2.Access(ln) {
-					res.L2Misses++
-					dram = append(dram, ln)
-				}
-			}
-		}
-		sc.dram = dram
-		res.DRAMLines = dram
+		res.TexAccesses = len(r.Lines)
+		res.TexMiss = int(pc.TexMisses)
 	}
+	res.L2Accesses = int(pc.L2Accesses)
+	res.L2Misses = int(pc.L2Misses)
+	res.DRAMLines = dram
 	return res
 }
 
@@ -246,8 +212,8 @@ func (h *Hierarchy) Reset() { h.L2.Reset() }
 // atomic serialization). It is a pure function of (instruction, space,
 // address binding) — no cache state is read or written — so it can be
 // computed once per binding and reused, with ProbeLines supplying the
-// cache-dependent half per evaluation. ResolveScratch followed by ProbeLines
-// on the same access reproduces AccessScratch exactly.
+// cache-dependent half per evaluation. AccessScratch is exactly
+// ResolveScratch followed by ProbeLines on the same access.
 type Resolved struct {
 	Space gpu.MemSpace
 
@@ -284,6 +250,9 @@ func (h *Hierarchy) ResolveScratch(b *Binding, in *trace.Inst, sc *Scratch) Reso
 		return res
 	}
 
+	// Atomics serialize over same-address lanes regardless of the memory
+	// space (§III-B replay cause (6)); the per-space effects below apply on
+	// top.
 	if in.Op == trace.OpAtomic {
 		res.Replays.Add(replay.AtomicConflict, replay.AtomicConflictReplays(addrs))
 	}
@@ -303,6 +272,9 @@ func (h *Hierarchy) ResolveScratch(b *Binding, in *trace.Inst, sc *Scratch) Reso
 		res.Lines = lines
 
 	case gpu.Constant:
+		// Constant memory serializes over distinct words; each distinct
+		// word beyond the first is a divergence replay (cause 3). The
+		// distinct constant-cache lines are what ProbeLines probes.
 		words := cache.LinesTouchedInto(sc.words, addrs, b.Trace.Array(in.Array).Type.Bytes())
 		sc.words = words
 		res.Replays.Add(replay.ConstantDivergence, int64(len(words)-1))

@@ -175,7 +175,11 @@ func BankLatency(s Stream, v Variant) float64 {
 // Over a common observation window the arrival rate λ_i is proportional to
 // the bank's request count, so the weights are the per-bank N values — this
 // avoids over-weighting banks whose few requests arrive in one tight burst.
-func SystemLatency(banks []Stream, v Variant) float64 {
+//
+// Each bank's inter-arrival statistics are first stretched by dilation, a
+// pure time-dilation that preserves every c_a (1 leaves them as measured);
+// the banks are copied by value, so the caller's streams are untouched.
+func SystemLatency(banks []Stream, dilation float64, v Variant) float64 {
 	var sumN, acc float64
 	for _, b := range banks {
 		sumN += float64(b.N)
@@ -187,6 +191,8 @@ func SystemLatency(banks []Stream, v Variant) float64 {
 		if b.N == 0 {
 			continue
 		}
+		b.TauA *= dilation
+		b.SigmaA *= dilation
 		acc += float64(b.N) / sumN * BankLatency(b, v)
 	}
 	return acc

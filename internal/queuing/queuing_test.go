@@ -141,16 +141,16 @@ func TestSystemLatencyWeighting(t *testing.T) {
 	// Eq 7: banks weighted by their request counts.
 	a := Stream{TauA: 100, TauS: 8, AccessNS: 300, N: 300}
 	b := Stream{TauA: 100, TauS: 8, AccessNS: 600, N: 100}
-	got := SystemLatency([]Stream{a, b}, MM1)
+	got := SystemLatency([]Stream{a, b}, 1, MM1)
 	la, lb := BankLatency(a, MM1), BankLatency(b, MM1)
 	want := 0.75*la + 0.25*lb
 	if math.Abs(got-want) > 1e-9 {
 		t.Errorf("SystemLatency = %g, want %g", got, want)
 	}
-	if SystemLatency(nil, MM1) != 0 {
+	if SystemLatency(nil, 1, MM1) != 0 {
 		t.Error("empty system should be 0")
 	}
-	if SystemLatency([]Stream{{N: 0}}, MM1) != 0 {
+	if SystemLatency([]Stream{{N: 0}}, 1, MM1) != 0 {
 		t.Error("all-idle system should be 0")
 	}
 }

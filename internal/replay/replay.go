@@ -52,20 +52,26 @@ func (r Reason) String() string {
 // AtomicConflictReplays returns the replays of one warp atomic: lanes whose
 // element addresses collide serialize, so the access issues once per
 // occurrence of the most-contended address — the maximum address
-// multiplicity minus one.
+// multiplicity minus one. The addresses are sorted in a stack copy, so the
+// count allocates nothing (for warps of up to 64 lanes) and leaves addrs
+// untouched.
 func AtomicConflictReplays(addrs []uint64) int64 {
 	if len(addrs) == 0 {
 		return 0
 	}
-	counts := make(map[uint64]int, len(addrs))
-	max := 0
-	for _, a := range addrs {
-		counts[a]++
-		if counts[a] > max {
-			max = counts[a]
+	var buf [64]uint64
+	sorted := append(buf[:0], addrs...)
+	cache.SortSmall(sorted)
+	most, run := 1, 1
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i] == sorted[i-1] {
+			run++
+			most = max(most, run)
+		} else {
+			run = 1
 		}
 	}
-	return int64(max - 1)
+	return int64(most - 1)
 }
 
 // Breakdown tallies replays by cause. It is the inst_replay_{1-4} quantity

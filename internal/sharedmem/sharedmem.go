@@ -5,7 +5,13 @@
 // T_overlap event model.
 package sharedmem
 
-import "gpuhms/internal/gpu"
+import (
+	"math/bits"
+	"slices"
+
+	"gpuhms/internal/cache"
+	"gpuhms/internal/gpu"
+)
 
 // Config describes the shared memory organization.
 type Config struct {
@@ -26,53 +32,40 @@ func FromGPU(c *gpu.Config) Config {
 //
 // addrs holds block-local shared-memory byte addresses; active[i] reports
 // whether lane i participates. active may be nil (all lanes active).
+// Banks and BankBytes must be powers of two (gpu.Config.Validate enforces
+// it): words and banks are shifts and masks.
 func (c Config) ConflictDegree(addrs []uint64, active []bool) int {
-	// words[bank] collects the distinct word addresses seen per bank.
-	// Warp sizes are small; small slices beat maps here.
-	type bankWords struct {
-		words [4]uint64
-		n     int
-		over  map[uint64]struct{}
-	}
-	banks := make([]bankWords, c.Banks)
-	degree := 0
+	// The words of one warp fit a stack buffer: sort and dedup them there,
+	// then count the distinct words per bank in a stack table. Nothing
+	// escapes for warps of up to 64 lanes and 64 banks, so the per-access
+	// cost is one short sort and no allocation.
+	var wordBuf [64]uint64
+	words := wordBuf[:0]
+	shift := uint(bits.TrailingZeros64(uint64(c.BankBytes)))
 	for i, a := range addrs {
 		if active != nil && !active[i] {
 			continue
 		}
-		word := a / uint64(c.BankBytes)
-		bank := int(word % uint64(c.Banks))
-		bw := &banks[bank]
-		dup := false
-		for j := 0; j < bw.n && j < len(bw.words); j++ {
-			if bw.words[j] == word {
-				dup = true
-				break
-			}
-		}
-		if !dup && bw.over != nil {
-			_, dup = bw.over[word]
-		}
-		if dup {
-			continue
-		}
-		if bw.n < len(bw.words) {
-			bw.words[bw.n] = word
-		} else {
-			if bw.over == nil {
-				bw.over = make(map[uint64]struct{})
-			}
-			bw.over[word] = struct{}{}
-		}
-		bw.n++
-		if bw.n > degree {
-			degree = bw.n
-		}
+		words = append(words, a>>shift)
 	}
-	if degree == 0 {
+	if len(words) == 0 {
 		return 1 // an access with no active lanes still issues once
 	}
-	return degree
+	cache.SortSmall(words)
+	words = slices.Compact(words)
+	var countBuf [64]uint16
+	count := countBuf[:]
+	if c.Banks > len(countBuf) {
+		count = make([]uint16, c.Banks)
+	}
+	mask := uint64(c.Banks - 1)
+	degree := uint16(0)
+	for _, w := range words {
+		n := &count[w&mask]
+		*n++
+		degree = max(degree, *n)
+	}
+	return int(degree)
 }
 
 // Conflicts returns the number of bank-conflict replays of one warp access:

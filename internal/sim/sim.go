@@ -19,7 +19,6 @@
 package sim
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 
@@ -126,30 +125,69 @@ type warpState struct {
 	started float64 // cycle of the first issue (recorded warp spans)
 }
 
-// warpHeap orders active warps by their ready time (ties by index for
-// determinism). Warp states are stored by value in one pooled array — a
+// warpHeap is a binary min-heap of active warp indices ordered by (ready
+// time, index). Warp states are stored by value in one pooled array — a
 // pointer per warp used to be a measurable share of a run's allocations.
+// The order is strict and total, so the sequence of warps the scheduler
+// takes from the root is the same whatever the heap's internal shape.
 type warpHeap struct {
 	warps []warpState
 	order []int
 }
 
-func (h *warpHeap) Len() int { return len(h.order) }
-func (h *warpHeap) Less(i, j int) bool {
-	wi, wj := &h.warps[h.order[i]], &h.warps[h.order[j]]
-	if wi.ready != wj.ready {
-		return wi.ready < wj.ready
+func (h *warpHeap) less(a, b int) bool {
+	wa, wb := &h.warps[a], &h.warps[b]
+	if wa.ready != wb.ready {
+		return wa.ready < wb.ready
 	}
-	return h.order[i] < h.order[j]
+	return a < b
 }
-func (h *warpHeap) Swap(i, j int) { h.order[i], h.order[j] = h.order[j], h.order[i] }
-func (h *warpHeap) Push(x any)    { h.order = append(h.order, x.(int)) }
-func (h *warpHeap) Pop() any {
-	old := h.order
-	n := len(old)
-	x := old[n-1]
-	h.order = old[:n-1]
-	return x
+
+// init establishes the heap order over h.order.
+func (h *warpHeap) init() {
+	for i := len(h.order)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+// down sifts the entry at i toward the leaves until neither child precedes
+// it.
+func (h *warpHeap) down(i int) {
+	o := h.order
+	n := len(o)
+	wi := o[i]
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h.less(o[r], o[c]) {
+			c = r
+		}
+		if !h.less(o[c], wi) {
+			break
+		}
+		o[i] = o[c]
+		i = c
+	}
+	o[i] = wi
+}
+
+// replaceRoot swaps the root for warp wi; the root has no parent, so a
+// sift-down restores the order whatever wi's ready time.
+func (h *warpHeap) replaceRoot(wi int) {
+	h.order[0] = wi
+	h.down(0)
+}
+
+// popRoot removes the root.
+func (h *warpHeap) popRoot() {
+	n := len(h.order) - 1
+	h.order[0] = h.order[n]
+	h.order = h.order[:n]
+	if n > 0 {
+		h.down(0)
+	}
 }
 
 // Measurer measures a (trace, placement) pair — the "hardware" of the
@@ -213,9 +251,9 @@ func (s *Simulator) RunContext(ctx context.Context, t *trace.Trace, sample, targ
 			smQueue[sm] = append(smQueue[sm], i)
 		}
 	}
-	heap.Init(h)
-	// heap operations re-slice h.order; hand the (possibly grown) buffer
-	// back to the scratch so the pool keeps its capacity.
+	h.init()
+	// h.order was appended to above; hand the (possibly grown) buffer back
+	// to the scratch so the pool keeps its capacity.
 	defer func() { sc.order = h.order }()
 
 	smFree := sc.smFree
@@ -244,14 +282,17 @@ func (s *Simulator) RunContext(ctx context.Context, t *trace.Trace, sample, targ
 	var memWaitCycles float64
 
 	var steps int
-	for h.Len() > 0 {
+	for len(h.order) > 0 {
 		steps++
 		if steps%ctxCheckInterval == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		wi := heap.Pop(h).(int)
+		// The earliest-ready warp stays at the root while it issues; the
+		// step ends by sifting it down (its ready time only grows) or, when
+		// it retires, by replacing or removing it.
+		wi := h.order[0]
 		w := &warps[wi]
 		if w.pc >= len(w.tr.Inst) {
 			// Retire; admit a queued warp on this SM (smQHead is a cursor so
@@ -268,7 +309,9 @@ func (s *Simulator) RunContext(ctx context.Context, t *trace.Trace, sample, targ
 				next := q[smQHead[w.sm]]
 				smQHead[w.sm]++
 				warps[next].ready = w.ready
-				heap.Push(h, next)
+				h.replaceRoot(next)
+			} else {
+				h.popRoot()
 			}
 			continue
 		}
@@ -419,7 +462,7 @@ func (s *Simulator) RunContext(ctx context.Context, t *trace.Trace, sample, targ
 				}
 			}
 		}
-		heap.Push(h, wi)
+		h.down(0)
 	}
 
 	// Shared staging preamble: each block copies its tile from global

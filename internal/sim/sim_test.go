@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -331,5 +332,30 @@ func TestPooledScratchReuse(t *testing.T) {
 	if first.TimeNS != again.TimeNS || first.Cycles != again.Cycles ||
 		!reflect.DeepEqual(first.Events, again.Events) {
 		t.Error("pooled-scratch reuse changed simulation results")
+	}
+}
+
+// BenchmarkSimRun measures one sample-profiling run of the simulator on K80:
+// spmv (global, texture and constant streams) and histogram (a shared
+// scratch updated by atomics).
+func BenchmarkSimRun(b *testing.B) {
+	cfg := gpu.KeplerK80()
+	for _, kernel := range []string{"spmv", "histogram"} {
+		b.Run("k80/"+kernel, func(b *testing.B) {
+			spec := kernels.MustGet(kernel)
+			tr := spec.Trace(1)
+			sample, err := spec.SamplePlacement(tr)
+			if err != nil {
+				b.Fatal(err)
+			}
+			s := New(cfg)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.RunContext(context.Background(), tr, sample, sample); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

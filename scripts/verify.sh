@@ -3,8 +3,9 @@
 # installed), build, a guard keeping the paper harness (internal/experiments,
 # microbench, baseline) out of hmsserved and hmsplace, vet and test of the
 # perfbench benchmark module, the full test suite under the race detector,
-# the shard-enumerator fuzz seeds under race, one-pass benchmark smokes of
-# parallel ranking and delta evaluation, the wall-clock bounds the race pass
+# the shard-enumerator and resolution-kernel oracle fuzz seeds under race,
+# one-pass benchmark smokes of parallel ranking, delta evaluation,
+# contribution builds and simulator runs, the wall-clock bounds the race pass
 # skips (run here without -race), a short
 # smoke of the observability no-op-overhead contract (the disabled recorder
 # must add zero allocations), a short chaos soak (scripts/soak.sh runs the
@@ -69,6 +70,11 @@ echo "== shard enumerator fuzz seeds under race"
 # sharded enumeration the parallel ranking engine is built on.
 go test -race ./internal/placement/ -run 'FuzzEnumerateShard' -count=1
 
+echo "== resolution kernel oracle fuzz seeds under race"
+# FuzzResolveMatchesReference pins ResolveScratch/AccessScratch to the
+# reference per-lane resolution on every arch and memory space.
+go test -race ./internal/memsys/ -run 'FuzzResolveMatchesReference' -count=1
+
 echo "== parallel rank bench smoke"
 # One pass of the scaling-curve benchmark; the determinism suite itself runs
 # in the race pass above.
@@ -76,6 +82,10 @@ go test ./internal/advisor/ -run '^$' -bench 'BenchmarkRankParallel' -benchtime 
 
 echo "== delta eval bench smoke"
 go test ./internal/core/ -run '^$' -bench 'BenchmarkPredict(Delta|Full)$' -benchtime 20x -benchmem -count=1
+
+echo "== resolution kernel bench smoke"
+go test ./internal/core/ -run '^$' -bench 'BenchmarkBuildContribution' -benchtime 1x -benchmem -count=1
+go test ./internal/sim/ -run '^$' -bench 'BenchmarkSimRun' -benchtime 1x -benchmem -count=1
 
 echo "== wall-clock bounds (no race)"
 # The timing assertions skip under -race, which distorts timings: delta
