@@ -96,7 +96,6 @@ import (
 	"time"
 
 	"gpuhms/internal/advisor"
-	"gpuhms/internal/core"
 	"gpuhms/internal/fleet"
 	"gpuhms/internal/gpu"
 	"gpuhms/internal/hmserr"
@@ -104,7 +103,6 @@ import (
 	"gpuhms/internal/obs"
 	"gpuhms/internal/placement"
 	"gpuhms/internal/service"
-	"gpuhms/internal/sim"
 )
 
 // exitPartial is the exit code of a search stopped by -budget or -timeout:
@@ -327,24 +325,12 @@ func main() {
 	if *kernel == "" {
 		log.Fatal("missing -kernel (use -list to see choices)")
 	}
-	spec, ok := kernels.Get(*kernel)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "hmsplace: unknown kernel %q (use -list)\n", *kernel)
+	tr, samplePl, err := kernels.Resolve(cfg, *kernel, *scale, *sample)
+	if errors.Is(err, hmserr.ErrUnknownKernel) {
+		fmt.Fprintf(os.Stderr, "hmsplace: %v (use -list)\n", err)
 		os.Exit(exitUnknownName)
 	}
-
-	tr := spec.Trace(*scale)
-
-	samplePl, err := spec.SamplePlacement(tr)
 	if err != nil {
-		log.Fatal(err)
-	}
-	if *sample != "" {
-		if samplePl, err = placement.Parse(tr, *sample); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if err := placement.Check(tr, samplePl, cfg); err != nil {
 		log.Fatalf("sample placement: %v", err)
 	}
 
@@ -378,23 +364,16 @@ func main() {
 		fmt.Printf("trained model saved to %s\n", *saveTo)
 	}
 
-	// Profiling and -measure run on a simulator carrying the recorder.
-	simulator := sim.New(cfg)
-	simulator.Recorder = rec
-	prof, err := simulator.RunContext(runCtx, tr, samplePl, samplePl)
-	if err != nil {
-		log.Fatalf("profiling sample placement: %v", err)
-	}
-	pred, err := core.NewPredictor(adv.Model, tr, samplePl,
-		core.SampleProfile{TimeNS: prof.TimeNS, Events: prof.Events})
+	// Profiling, predictions and -measure report to the session recorder.
+	adv.Recorder = rec
+	pred, err := adv.PredictorContext(runCtx, tr, samplePl)
 	if err != nil {
 		log.Fatal(err)
 	}
-	pred.SetRecorder(rec)
 	if !*jsonOut {
 		fmt.Println(archHeader(archName, cfg))
 		fmt.Printf("kernel %s (%s), sample placement %s: profiled %.0f ns\n\n",
-			*kernel, spec.KernelName, samplePl.Format(tr), prof.TimeNS)
+			*kernel, kernels.MustGet(*kernel).KernelName, samplePl.Format(tr), pred.Profile().TimeNS)
 	}
 
 	type row struct {
@@ -514,7 +493,7 @@ func main() {
 		// Measure only the displayed rows — a -top 5 ranking costs 5
 		// simulator runs, not one per enumerated candidate.
 		for i := range rows {
-			m, err := simulator.Run(tr, samplePl, rows[i].pl)
+			m, err := adv.MeasureOn(tr, samplePl, rows[i].pl)
 			if err != nil {
 				log.Fatalf("measure %s: %v", rows[i].pl.Format(tr), err)
 			}
@@ -653,6 +632,13 @@ func runFleet(ctx context.Context, cfg *gpu.Config, arch, spec, solverSpec, obje
 		}
 	}
 
+	// Check tenant kernels before training, so a typo fails fast.
+	for _, t := range tenants {
+		if _, ok := kernels.Get(t.Kernel); !ok {
+			fmt.Fprintf(os.Stderr, "hmsplace: unknown kernel: %s (use -list)\n", t.Kernel)
+			os.Exit(exitUnknownName)
+		}
+	}
 	adv, err := advisor.New(cfg)
 	if err != nil {
 		log.Fatal(err)
@@ -667,10 +653,6 @@ func runFleet(ctx context.Context, cfg *gpu.Config, arch, spec, solverSpec, obje
 	})
 	if err != nil {
 		emitArtifacts()
-		if errors.Is(err, fleet.ErrUnknownKernel) {
-			fmt.Fprintf(os.Stderr, "hmsplace: %v (use -list)\n", err)
-			os.Exit(exitUnknownName)
-		}
 		log.Fatal(err)
 	}
 

@@ -37,7 +37,6 @@
 package gpuhms
 
 import (
-	"fmt"
 	"io"
 
 	"gpuhms/internal/advisor"
@@ -98,6 +97,8 @@ var (
 	// ErrUnknownStrategy: a search-strategy spec names no known strategy
 	// (see ParseStrategy).
 	ErrUnknownStrategy = hmserr.ErrUnknownStrategy
+	// ErrUnknownKernel: a name matches no bundled workload (see Kernel).
+	ErrUnknownKernel = hmserr.ErrUnknownKernel
 )
 
 // Config describes the modeled GPU architecture.
@@ -222,11 +223,11 @@ type KernelSpec = kernels.Spec
 // Kernels lists the bundled workload names.
 func Kernels() []string { return kernels.Names() }
 
-// Kernel looks up a bundled workload.
+// Kernel looks up a bundled workload; unknown names wrap ErrUnknownKernel.
 func Kernel(name string) (KernelSpec, error) {
 	s, ok := kernels.Get(name)
 	if !ok {
-		return KernelSpec{}, fmt.Errorf("gpuhms: unknown kernel %q", name)
+		return KernelSpec{}, hmserr.Wrap(hmserr.ErrUnknownKernel, "%s", name)
 	}
 	return s, nil
 }

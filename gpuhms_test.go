@@ -2,6 +2,7 @@ package gpuhms
 
 import (
 	"context"
+	"errors"
 	"sort"
 	"testing"
 )
@@ -102,8 +103,8 @@ func TestPublicAPIKernelRegistry(t *testing.T) {
 	if len(names) < 15 {
 		t.Errorf("only %d bundled kernels", len(names))
 	}
-	if _, err := Kernel("bogus"); err == nil {
-		t.Error("unknown kernel should error")
+	if _, err := Kernel("bogus"); !errors.Is(err, ErrUnknownKernel) {
+		t.Errorf("Kernel(bogus) err = %v, want ErrUnknownKernel", err)
 	}
 }
 

@@ -216,6 +216,9 @@ func (p *Predictor) Sample() *Analysis { return p.sampleAn }
 // not mutate it; Clone before modifying.
 func (p *Predictor) SamplePlacement() *placement.Placement { return p.sample }
 
+// Profile returns the sample profile the predictor was built from.
+func (p *Predictor) Profile() SampleProfile { return p.profile }
+
 // AnalyzePlacement runs the §IV trace analysis of one placement under this
 // model's mapping and distribution mode, optionally collecting the global
 // DRAM inter-arrival samples (the Fig 4 study). It runs the same decomposed

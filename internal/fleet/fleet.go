@@ -33,15 +33,11 @@ import (
 	"gpuhms/internal/trace"
 )
 
-// Sentinels of the fleet subsystem's input taxonomy. The advisory service
-// maps both to 404 (like its own unknown-kernel error); hmsplace exits with
-// its distinct unknown-name code on them.
-var (
-	// ErrUnknownKernel: a tenant names a kernel the registry does not have.
-	ErrUnknownKernel = errors.New("fleet: unknown kernel")
-	// ErrUnknownMix: a request names a bundled tenant mix that does not exist.
-	ErrUnknownMix = errors.New("fleet: unknown mix")
-)
+// ErrUnknownMix: a request names a bundled tenant mix that does not exist.
+// The advisory service maps it to 404 (like hmserr.ErrUnknownKernel, which
+// an unknown tenant kernel wraps); hmsplace exits with its distinct
+// unknown-name code on both.
+var ErrUnknownMix = errors.New("fleet: unknown mix")
 
 // Unbounded marks a per-space budget with no limit.
 const Unbounded int64 = -1
@@ -357,21 +353,8 @@ func NewProblem(ctx context.Context, adv *advisor.Advisor, tenants []Tenant, opt
 		if t.Weight <= 0 {
 			t.Weight = 1
 		}
-		spec, ok := kernels.Get(t.Kernel)
-		if !ok {
-			return nil, fmt.Errorf("%w: %q (tenant %q)", ErrUnknownKernel, t.Kernel, t.Name)
-		}
-		tr := spec.Trace(t.Scale)
-		var sample *placement.Placement
-		if t.Sample != "" {
-			sample, err = placement.Parse(tr, t.Sample)
-		} else {
-			sample, err = spec.SamplePlacement(tr)
-		}
+		tr, sample, err := kernels.Resolve(adv.Cfg, t.Kernel, t.Scale, t.Sample)
 		if err != nil {
-			return nil, fmt.Errorf("fleet tenant %q: %w", t.Name, err)
-		}
-		if err := placement.Check(tr, sample, adv.Cfg); err != nil {
 			return nil, fmt.Errorf("fleet tenant %q: %w", t.Name, err)
 		}
 

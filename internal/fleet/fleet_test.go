@@ -280,12 +280,16 @@ func TestFleetInfeasible(t *testing.T) {
 	}
 }
 
-// TestFleetUnknownKernel: unknown tenant kernels surface the fleet sentinel.
+// TestFleetUnknownKernel: unknown tenant kernels surface the hmserr sentinel,
+// attributed to their tenant.
 func TestFleetUnknownKernel(t *testing.T) {
 	adv := testAdvisor(t)
 	_, err := NewProblem(context.Background(), adv, []Tenant{{Kernel: "nosuch"}}, Options{})
-	if !errors.Is(err, ErrUnknownKernel) {
+	if !errors.Is(err, hmserr.ErrUnknownKernel) {
 		t.Errorf("err = %v, want ErrUnknownKernel", err)
+	}
+	if want := `fleet tenant "t0": unknown kernel: nosuch`; err == nil || err.Error() != want {
+		t.Errorf("err = %v, want %q", err, want)
 	}
 }
 

@@ -28,6 +28,9 @@
 //   - ErrUnknownStrategy: a search-strategy spec does not name a known
 //     strategy (exhaustive, greedy, beam-W); a caller input problem, never
 //     an internal failure.
+//   - ErrUnknownKernel: a request names a kernel the workload registry does
+//     not have (kernels.Resolve, the advisory service, fleet tenants, the
+//     facade's Kernel).
 package hmserr
 
 import (
@@ -44,6 +47,7 @@ var (
 	ErrBudgetExceeded   = errors.New("search budget exceeded")
 	ErrArchMismatch     = errors.New("architecture mismatch")
 	ErrUnknownStrategy  = errors.New("unknown search strategy")
+	ErrUnknownKernel    = errors.New("unknown kernel")
 
 	// ErrCapacityExceeded is the capacity sub-class of ErrIllegalPlacement:
 	// it chains onto the broader sentinel, so both

@@ -9,6 +9,7 @@ func TestWrapPreservesSentinel(t *testing.T) {
 	sentinels := []error{
 		ErrIllegalPlacement, ErrInvalidTrace, ErrInvalidProfile,
 		ErrBudgetExceeded, ErrArchMismatch, ErrUnknownStrategy,
+		ErrUnknownKernel,
 	}
 	for _, s := range sentinels {
 		w := Wrap(s, "kernel %s, array %d", "fft", 3)

@@ -17,6 +17,8 @@ import (
 	"sort"
 	"strings"
 
+	"gpuhms/internal/gpu"
+	"gpuhms/internal/hmserr"
 	"gpuhms/internal/placement"
 	"gpuhms/internal/trace"
 )
@@ -78,14 +80,12 @@ func (s Spec) Targets(t *trace.Trace) ([]*placement.Placement, error) {
 		if err != nil {
 			return nil, fmt.Errorf("kernel %s test %q: %w", s.Name, spec, err)
 		}
-		target := sample.Clone()
 		// Apply only the overrides actually named in the spec: re-parse to
 		// know which arrays were mentioned.
-		applied, err := applyOverrides(t, sample, spec, ov)
+		target, err := applyOverrides(t, sample, spec, ov)
 		if err != nil {
 			return nil, err
 		}
-		target = applied
 		out = append(out, target)
 	}
 	return out, nil
@@ -151,6 +151,30 @@ func register(s Spec) {
 func Get(name string) (Spec, bool) {
 	s, ok := registry[name]
 	return s, ok
+}
+
+// Resolve turns a kernel request — registry name, scale, sample spec — into
+// the generated trace and its sample placement, checked legal on cfg. An
+// empty sampleSpec selects the kernel's own sample. An unknown name wraps
+// hmserr.ErrUnknownKernel; parse and legality errors are returned as
+// placement.Parse and placement.Check report them.
+func Resolve(cfg *gpu.Config, name string, scale int, sampleSpec string) (*trace.Trace, *placement.Placement, error) {
+	s, ok := registry[name]
+	if !ok {
+		return nil, nil, hmserr.Wrap(hmserr.ErrUnknownKernel, "%s", name)
+	}
+	if sampleSpec == "" {
+		sampleSpec = s.Sample
+	}
+	tr := s.Trace(scale)
+	sample, err := placement.Parse(tr, sampleSpec)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := placement.Check(tr, sample, cfg); err != nil {
+		return nil, nil, err
+	}
+	return tr, sample, nil
 }
 
 // MustGet looks up a kernel and panics when absent (for experiment drivers

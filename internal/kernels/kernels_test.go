@@ -1,10 +1,12 @@
 package kernels
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
 	"gpuhms/internal/gpu"
+	"gpuhms/internal/hmserr"
 	"gpuhms/internal/placement"
 	"gpuhms/internal/trace"
 )
@@ -251,4 +253,44 @@ func TestMustGetPanics(t *testing.T) {
 		}
 	}()
 	MustGet("nope")
+}
+
+// TestResolve pins the one request-to-sample path: the kernel's own sample by
+// default, an override when given, the placement errors unwrapped, and an
+// unknown name wrapping hmserr.ErrUnknownKernel.
+func TestResolve(t *testing.T) {
+	cfg := gpu.MustLookup("k80")
+	tr, sample, err := Resolve(cfg, "spmv", 1, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := sample.Format(tr), "val:G,cols:G,rowD:G,d_vec:T,out:G"; got != want {
+		t.Errorf("default sample %s, want %s", got, want)
+	}
+	tr, sample, err = Resolve(cfg, "spmv", 2, "val:T")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := sample.Format(tr), "val:T,cols:G,rowD:G,d_vec:G,out:G"; got != want {
+		t.Errorf("override sample %s, want %s", got, want)
+	}
+	if !reflect.DeepEqual(tr, MustGet("spmv").Trace(2)) {
+		t.Error("Resolve must generate the kernel's trace at the requested scale")
+	}
+
+	_, _, err = Resolve(cfg, "nope", 1, "")
+	if !errors.Is(err, hmserr.ErrUnknownKernel) || err.Error() != "unknown kernel: nope" {
+		t.Errorf("unknown kernel err = %v", err)
+	}
+	tr = MustGet("spmv").Trace(1)
+	_, _, err = Resolve(cfg, "spmv", 1, "val:Q")
+	if _, parseErr := placement.Parse(tr, "val:Q"); err == nil || err.Error() != parseErr.Error() {
+		t.Errorf("parse err = %v, want placement.Parse's %v", err, parseErr)
+	}
+	_, _, err = Resolve(cfg, "spmv", 1, "val:C,cols:C,rowD:C")
+	illegal, _ := placement.Parse(tr, "val:C,cols:C,rowD:C")
+	checkErr := placement.Check(tr, illegal, cfg)
+	if !errors.Is(err, hmserr.ErrCapacityExceeded) || err.Error() != checkErr.Error() {
+		t.Errorf("illegal sample err = %v, want placement.Check's %v", err, checkErr)
+	}
 }

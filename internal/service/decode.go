@@ -46,8 +46,6 @@ const (
 var (
 	// ErrBadRequest: the body is not valid JSON or a field is out of range.
 	ErrBadRequest = errors.New("bad request")
-	// ErrUnknownKernel: the named workload is not registered.
-	ErrUnknownKernel = errors.New("unknown kernel")
 	// ErrUnknownArch: the named architecture has no warm advisor.
 	ErrUnknownArch = errors.New("unknown architecture")
 	// ErrQueueFull: the worker queue is at capacity (backpressure; 429).
@@ -237,13 +235,13 @@ func validateCommon(arch, kernel string, scale int, sample string, timeoutMS int
 	return nil
 }
 
-// statusOf maps the error taxonomy onto HTTP statuses:
+// statusOf maps the error taxonomy — the hmserr sentinels, the service's own
+// classes above, and fleet.ErrUnknownMix — onto HTTP statuses:
 //
 //	ErrBadRequest, ErrIllegalPlacement, ErrUnknownStrategy,
 //	ErrInvalidTrace, ErrInvalidProfile,
 //	ErrBudgetExceeded                   → 400 Bad Request
 //	ErrUnknownKernel, ErrUnknownArch,
-//	fleet.ErrUnknownKernel,
 //	fleet.ErrUnknownMix                 → 404 Not Found
 //	ErrCapacityExceeded                 → 422 Unprocessable Entity
 //	ErrQueueFull                        → 429 Too Many Requests
@@ -259,6 +257,9 @@ func validateCommon(arch, kernel string, scale int, sample string, timeoutMS int
 // meaningful partial answer, so there it is a 400. ErrCapacityExceeded
 // chains onto ErrIllegalPlacement, so the capacity case must test first:
 // the request was well-formed, the placement just does not fit (422).
+// ErrUnknownKernel is hmserr's one unknown-kernel sentinel: the early kernel
+// checks of all four POST routes, kernels.Resolve on a worker, and fleet
+// tenants all wrap it.
 func statusOf(err error) int {
 	switch {
 	case errors.Is(err, hmserr.ErrCapacityExceeded):
@@ -270,8 +271,8 @@ func statusOf(err error) int {
 		errors.Is(err, hmserr.ErrInvalidProfile),
 		errors.Is(err, hmserr.ErrBudgetExceeded):
 		return http.StatusBadRequest
-	case errors.Is(err, ErrUnknownKernel), errors.Is(err, ErrUnknownArch),
-		errors.Is(err, fleet.ErrUnknownKernel), errors.Is(err, fleet.ErrUnknownMix):
+	case errors.Is(err, hmserr.ErrUnknownKernel), errors.Is(err, ErrUnknownArch),
+		errors.Is(err, fleet.ErrUnknownMix):
 		return http.StatusNotFound
 	case errors.Is(err, ErrQueueFull):
 		return http.StatusTooManyRequests
@@ -289,7 +290,7 @@ func statusOf(err error) int {
 // codeOf names the error class for the machine-readable ErrorResponse.Code.
 func codeOf(err error) string {
 	switch {
-	case errors.Is(err, ErrUnknownKernel), errors.Is(err, fleet.ErrUnknownKernel):
+	case errors.Is(err, hmserr.ErrUnknownKernel):
 		return "unknown_kernel"
 	case errors.Is(err, fleet.ErrUnknownMix):
 		return "unknown_mix"

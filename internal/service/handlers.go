@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"time"
 
+	"gpuhms/internal/hmserr"
 	"gpuhms/internal/kernels"
 	"gpuhms/internal/obs"
 )
@@ -184,25 +185,20 @@ func (s *Server) handleArches(w http.ResponseWriter, r *http.Request) {
 }
 
 // badKernel wraps an unknown kernel name.
-func badKernel(name string) error {
-	return &unknownKernelError{name: name}
-}
+func badKernel(name string) error { return hmserr.Wrap(hmserr.ErrUnknownKernel, "%s", name) }
 
-// unknownKernelError carries the name while wrapping ErrUnknownKernel.
-type unknownKernelError struct{ name string }
-
-func (e *unknownKernelError) Error() string { return ErrUnknownKernel.Error() + ": " + e.name }
-func (e *unknownKernelError) Unwrap() error { return ErrUnknownKernel }
-
-// predict serves POST /v1/predict: advisor lookup → pool (no cache: a
-// single prediction is dominated by the sample profiling run, which repeats
-// per request by design — rank with top_k=1 for the cached path).
+// predict serves POST /v1/predict: advisor lookup → kernel check → pool (no
+// cache: a single prediction is dominated by the sample profiling run, which
+// repeats per request by design — rank with top_k=1 for the cached path).
 func (s *Server) predict(ctx context.Context, req *PredictRequest) (*PredictResponse, string, error) {
 	adv, arch, err := s.advisorFor(req.Arch)
 	if err != nil {
 		return nil, "", err
 	}
 	req.Arch = arch
+	if _, ok := kernels.Get(req.Kernel); !ok {
+		return nil, "", badKernel(req.Kernel)
+	}
 	fl := newFlight[*PredictResponse]()
 	submit(s, TraceFrom(ctx), req.TimeoutMS, func(ctx context.Context) (*PredictResponse, error) {
 		return s.runPredict(ctx, adv, req)

@@ -472,7 +472,7 @@ func (s *Server) doCompare(reqCtx context.Context, req *CompareRequest) (*Compar
 // runRank executes one ranking search on a worker.
 func (s *Server) runRank(ctx context.Context, adv *advisor.Advisor, req *RankRequest) (*RankResponse, error) {
 	s.col.Add(obs.MetricServiceSearchesTotal, 1)
-	tr, sample, err := s.resolve(adv, req.Kernel, req.Scale, req.Sample)
+	tr, sample, err := kernels.Resolve(adv.Cfg, req.Kernel, req.Scale, req.Sample)
 	if err != nil {
 		return nil, err
 	}
@@ -523,7 +523,7 @@ func (s *Server) runRank(ctx context.Context, adv *advisor.Advisor, req *RankReq
 
 // runPredict executes one single-placement prediction on a worker.
 func (s *Server) runPredict(ctx context.Context, adv *advisor.Advisor, req *PredictRequest) (*PredictResponse, error) {
-	tr, sample, err := s.resolve(adv, req.Kernel, req.Scale, req.Sample)
+	tr, sample, err := kernels.Resolve(adv.Cfg, req.Kernel, req.Scale, req.Sample)
 	if err != nil {
 		return nil, err
 	}
@@ -550,30 +550,6 @@ func (s *Server) runPredict(ctx context.Context, adv *advisor.Advisor, req *Pred
 		Target:      target.Format(tr),
 		PredictedNS: p.TimeNS,
 	}, nil
-}
-
-// resolve turns (kernel, scale, sample spec) into a generated trace and a
-// checked sample placement.
-func (s *Server) resolve(adv *advisor.Advisor, kernel string, scale int, sampleSpec string) (*trace.Trace, *placement.Placement, error) {
-	spec, ok := kernels.Get(kernel)
-	if !ok {
-		return nil, nil, fmt.Errorf("%w: %q", ErrUnknownKernel, kernel)
-	}
-	tr := spec.Trace(scale)
-	var sample *placement.Placement
-	var err error
-	if sampleSpec != "" {
-		sample, err = placement.Parse(tr, sampleSpec)
-	} else {
-		sample, err = spec.SamplePlacement(tr)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := placement.Check(tr, sample, adv.Cfg); err != nil {
-		return nil, nil, err
-	}
-	return tr, sample, nil
 }
 
 // BuildRanked converts an advisor ranking into wire rows, marking the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -15,6 +16,7 @@ import (
 
 	"gpuhms/internal/advisor"
 	"gpuhms/internal/gpu"
+	"gpuhms/internal/hmserr"
 	"gpuhms/internal/obs"
 	"gpuhms/internal/placement"
 	"gpuhms/internal/sim"
@@ -343,10 +345,11 @@ func TestRankClientCancel499(t *testing.T) {
 	}
 }
 
-// TestQueueFull429 fills the single worker and the one-slot queue, then
-// verifies the next distinct request is shed with 429 + Retry-After.
-func TestQueueFull429(t *testing.T) {
-	s, m := blockingServer(t, Options{Workers: 1, QueueCap: 1, RetryAfter: 7})
+// saturate occupies the single worker and the one-slot queue of a
+// Workers: 1, QueueCap: 1 blocking server; the returned group finishes once
+// the measurer is released.
+func saturate(t *testing.T, s *Server, m *blockingMeasurer) *sync.WaitGroup {
+	t.Helper()
 	var running sync.WaitGroup
 	running.Add(1)
 	go func() { // occupies the worker
@@ -367,6 +370,14 @@ func TestQueueFull429(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
+	return &running
+}
+
+// TestQueueFull429 fills the single worker and the one-slot queue, then
+// verifies the next distinct request is shed with 429 + Retry-After.
+func TestQueueFull429(t *testing.T) {
+	s, m := blockingServer(t, Options{Workers: 1, QueueCap: 1, RetryAfter: 7})
+	running := saturate(t, s, m)
 	rr := doJSON(t, s, "POST", "/v1/rank", RankRequest{Kernel: "fft", TopK: 3})
 	if rr.Code != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429: %s", rr.Code, rr.Body.String())
@@ -383,6 +394,41 @@ func TestQueueFull429(t *testing.T) {
 	}
 	m.releaseAll()
 	running.Wait()
+}
+
+// TestPredictUnknownKernelUnderLoad404: /v1/predict checks the kernel before
+// the pool like every other POST route, so an unknown kernel is a 404 even
+// when the queue is full, not a 429.
+func TestPredictUnknownKernelUnderLoad404(t *testing.T) {
+	s, m := blockingServer(t, Options{Workers: 1, QueueCap: 1})
+	running := saturate(t, s, m)
+	rr := doJSON(t, s, "POST", "/v1/predict", PredictRequest{Kernel: "nope", Target: "smem:G"})
+	var er ErrorResponse
+	if err := json.Unmarshal(rr.Body.Bytes(), &er); err != nil {
+		t.Fatalf("error body not JSON: %v", err)
+	}
+	if rr.Code != http.StatusNotFound || er.Code != "unknown_kernel" || er.Error != "unknown kernel: nope" {
+		t.Fatalf("status %d, body %s; want 404 unknown_kernel %q", rr.Code, rr.Body.String(), "unknown kernel: nope")
+	}
+	m.releaseAll()
+	running.Wait()
+}
+
+// TestUnknownKernelEveryRoute: every POST route rejects an unknown kernel with
+// the one hmserr sentinel and the same message.
+func TestUnknownKernelEveryRoute(t *testing.T) {
+	s := newTestServer(t, Options{})
+	ctx := context.Background()
+	errs := map[string]error{}
+	_, _, errs["rank"] = s.rank(ctx, &RankRequest{Kernel: "nope"})
+	_, _, errs["compare"] = s.compare(ctx, &CompareRequest{Kernel: "nope"})
+	_, _, errs["predict"] = s.predict(ctx, &PredictRequest{Kernel: "nope", Target: "smem:G"})
+	_, _, errs["fleet"] = s.fleetRank(ctx, &FleetRankRequest{Tenants: []FleetTenant{{Kernel: "fft"}, {Kernel: "nope"}}})
+	for route, err := range errs {
+		if !errors.Is(err, hmserr.ErrUnknownKernel) || err.Error() != "unknown kernel: nope" {
+			t.Errorf("%s: err = %v, want ErrUnknownKernel %q", route, err, "unknown kernel: nope")
+		}
+	}
 }
 
 // TestGracefulShutdownCancelsInflight verifies Shutdown with an expired

@@ -1,10 +1,11 @@
 #!/bin/sh
 # verify.sh — the repository's verification gate: vet (plus staticcheck when
 # installed), build, a guard keeping the paper harness (internal/experiments,
-# microbench, baseline) out of hmsserved and hmsplace, vet and test of the
-# perfbench benchmark module, the full test suite under the race detector,
-# the shard-enumerator and resolution-kernel oracle fuzz seeds under race,
-# one-pass benchmark smokes of parallel ranking, delta evaluation,
+# microbench, baseline) out of hmsserved and hmsplace, a guard keeping
+# advisor.PredictorContext the one profiling path of serving code, vet and
+# test of the perfbench benchmark module, the full test suite under the race
+# detector, the shard-enumerator and resolution-kernel oracle fuzz seeds under
+# race, one-pass benchmark smokes of parallel ranking, delta evaluation,
 # contribution builds and simulator runs, the wall-clock bounds the race pass
 # skips (run here without -race), a short
 # smoke of the observability no-op-overhead contract (the disabled recorder
@@ -51,6 +52,23 @@ harness=$(go list -deps ./cmd/hmsserved ./cmd/hmsplace |
 if [ -n "$harness" ]; then
     echo "verify: serving binaries link the paper harness:" >&2
     echo "$harness" >&2
+    exit 1
+fi
+
+echo "== one profiling path for serving code"
+# Serving code profiles a sample placement through advisor.PredictorContext
+# only; core.NewPredictor is called by the advisor, the facade, the model
+# itself and the paper harness (internal/train, internal/experiments), and
+# hmsplace reaches the simulator through the advisor, never directly.
+stray=$(git grep --untracked -l 'core\.NewPredictor(' -- '*.go' ':!*_test.go' ':!perfbench' \
+    ':!internal/advisor' ':!internal/train' ':!internal/experiments' ':!internal/core' ':!gpuhms.go' || true)
+if [ -n "$stray" ]; then
+    echo "verify: core.NewPredictor called outside the profiling path:" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+if git grep --untracked -q '"gpuhms/internal/sim"' -- 'cmd/hmsplace/*.go' ':!*_test.go'; then
+    echo "verify: cmd/hmsplace imports gpuhms/internal/sim; profile through the advisor" >&2
     exit 1
 fi
 
