@@ -243,7 +243,7 @@ func BenchmarkTraceAnalysis(b *testing.B) {
 	m := core.NewModel(cfg, core.FullOptions())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.AnalyzePlacement(tr, sample, sample, false)
+		m.AnalyzePlacement(tr, sample, sample)
 	}
 }
 

@@ -173,12 +173,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Thread the collector through every advisor too (before the service
-	// takes ownership), so /metrics carries the model/advisor metrics
-	// alongside the service_ ones.
-	for _, adv := range advisors {
-		adv.Recorder = col
-	}
 	svc, err := service.New(advisors, service.Options{
 		Workers:            *workers,
 		QueueCap:           *queue,
@@ -314,7 +308,10 @@ func requestedArchs(archList string) []string {
 // fails to load falls back to training and counts as a skipped snapshot
 // entry. Training runs are independent, so architectures train concurrently
 // — bounded to NumCPU workers — and multi-arch boot takes roughly as long
-// as the slowest single architecture.
+// as the slowest single architecture. Every advisor records into a
+// metrics-only view of col: /metrics carries the model and advisor metrics
+// alongside the service ones, while the trace timeline holds only the spans
+// of sampled requests.
 func buildAdvisors(archList, loadFrom string, saved map[string]json.RawMessage, col obs.Recorder) (map[string]*advisor.Advisor, error) {
 	names := strings.Split(archList, ",")
 	if loadFrom != "" && len(names) != 1 {
@@ -391,6 +388,7 @@ func buildAdvisors(archList, loadFrom string, saved map[string]json.RawMessage, 
 				}
 				return
 			}
+			adv.Recorder = obs.MetricsOnly(col)
 			advisors[name] = adv
 			log.Printf("advisor %s %s in %v", name, how, time.Since(start).Round(time.Millisecond))
 		}(name, cfg)

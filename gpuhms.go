@@ -206,10 +206,11 @@ func EnumeratePlacementsSeq(t *Trace, cfg *Config, yield func(*Placement) bool) 
 	placement.EnumerateSeq(t, cfg, yield)
 }
 
-// PlacementSpace is an indexed view of a trace's raw m^n placement space:
-// At decodes any raw index to its placement, and EnumerateShard streams the
-// legal placements of one strided shard — the primitive behind the parallel
-// ranking engine (see RankOptions.Parallelism).
+// PlacementSpace is an indexed view of a trace's raw m^n placement space and
+// its one walker: At decodes any raw index to its placement, IndexOf encodes
+// one back, Count sizes the legal space under a context, and GrayWalk
+// streams the legal placements of one range of the reflected order — the
+// walk each exhaustive ranking worker takes (see RankOptions.Parallelism).
 type PlacementSpace = placement.Space
 
 // NewPlacementSpace builds the indexed placement space of a trace.

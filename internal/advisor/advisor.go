@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"sort"
 
 	"gpuhms/internal/core"
 	"gpuhms/internal/gpu"
@@ -120,14 +121,29 @@ type rankHeap []Ranked
 
 func (h rankHeap) Len() int { return len(h) }
 func (h rankHeap) Less(i, j int) bool {
-	if h[i].PredictedNS != h[j].PredictedNS {
-		return h[i].PredictedNS > h[j].PredictedNS
-	}
-	return h[i].Index > h[j].Index
+	return faster(h[j].PredictedNS, h[j].Index, h[i].PredictedNS, h[i].Index)
 }
 func (h rankHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *rankHeap) Push(x any)   { *h = append(*h, x.(Ranked)) }
 func (h *rankHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
+
+// faster is the (PredictedNS, Index) total order behind every ranking
+// decision — heap eviction, the prune threshold, greedy's round winner,
+// beam's frontier, the final sort: lower predicted time first, then lower
+// enumeration index.
+func faster(ans float64, ai int64, bns float64, bi int64) bool {
+	if ans != bns {
+		return ans < bns
+	}
+	return ai < bi
+}
+
+// sortRanked orders candidates fastest-first under faster.
+func sortRanked(rs []Ranked) {
+	sort.Slice(rs, func(i, j int) bool {
+		return faster(rs[i].PredictedNS, rs[i].Index, rs[j].PredictedNS, rs[j].Index)
+	})
+}
 
 // RankOptions bounds RankPlacements' search over the m^n placement space.
 type RankOptions struct {

@@ -3,7 +3,6 @@ package advisor
 import (
 	"container/heap"
 	"context"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -32,9 +31,9 @@ type RankResult struct {
 	// admissible lower bound proved they could not enter the top-K; 0 for
 	// exhaustive and greedy searches.
 	Pruned int
-	// Deduped counts candidates a strategy re-submitted that were answered
-	// from the per-search eval cache — free: no prediction ran and no budget
-	// token was spent.
+	// Deduped counts candidates a strategy rediscovered after evaluating
+	// them once — greedy moves it skips, beam states it re-admits from its
+	// own record — free: no prediction ran and no budget token was spent.
 	Deduped int
 	// Total is the size of the legal placement space. For a complete
 	// exhaustive search it equals Evaluated; sub-exhaustive and
@@ -70,18 +69,6 @@ type engine struct {
 	failOnce  sync.Once
 	firstErr  error
 
-	// cache maps a candidate's space index to its evaluation, so a placement
-	// reachable through several strategy paths (duplicate beam children,
-	// greedy rounds regenerating old neighbors) is predicted at most once per
-	// search. Entries also retain the DeltaState, the parent handle for delta
-	// evaluation of the candidate's own neighbors. Strategies that never
-	// revisit an index (exhaustive) turn the cache off via cacheEvals: they
-	// gain nothing from it, and retaining a DeltaState per candidate over a
-	// complete enumeration would hold O(|space|) states alive for no reader.
-	cacheMu    sync.Mutex
-	cache      map[int64]*evalEntry
-	cacheEvals bool
-
 	obsMu    sync.Mutex // serializes best-so-far tracking and recording
 	bestNS   float64
 	bestName string
@@ -102,20 +89,6 @@ func (e *engine) stopping() bool {
 	return e.inner.Err() != nil || e.budgetHit.Load()
 }
 
-// evalEntry is one eval-cache slot. once makes concurrent submissions of the
-// same index collapse to a single evaluation (the contribCache pattern):
-// whichever caller wins the race runs the prediction, every other caller
-// blocks until it completes and reads the stored result. ok is false when the
-// evaluation stopped instead of completing (budget, cancellation, error) —
-// terminal states for the whole search, so a poisoned entry is never a
-// problem.
-type evalEntry struct {
-	once sync.Once
-	ns   float64
-	st   *core.DeltaState
-	ok   bool
-}
-
 // cand is one candidate submitted for evaluation: the placement, its
 // canonical space index, and — when the strategy derived it from an already
 // evaluated placement by a single-array move — the parent state plus the
@@ -128,60 +101,28 @@ type cand struct {
 	space gpu.MemSpace     // its new space, meaningful only with prev
 }
 
-// evalOne evaluates one candidate on worker w's predictor: it takes a budget
-// token, predicts (via delta from the candidate's parent state when one is
-// attached), records, and feeds worker w's top-K heap. A candidate whose
-// index is already in the per-search cache is free — no budget token, no
-// prediction, no duplicate heap entry; the cached score and state come back
-// as-is. Cache hits are served only while the search may continue: once the
-// budget is exhausted (or the search canceled) every call returns not-ok, so
-// a strategy cannot keep advancing rounds on cached answers after a budget
-// stop. The returned ok is false when the search must stop (cancellation,
-// budget, or a prediction error already routed through fail).
-//
-// Submitting the same index twice within one batch is safe: concurrent
-// duplicates collapse onto one evalEntry and exactly one of them runs the
-// prediction (see evalEntry); which worker's heap receives the candidate is
-// racy, but the final ranking is not — the merged global top-K is contained
-// in the union of per-worker top-Ks for any assignment.
-func (e *engine) evalOne(w int, c cand) (float64, *core.DeltaState, bool) {
-	if e.inner.Err() != nil || e.budgetHit.Load() {
-		return 0, nil, false
-	}
-	if !e.cacheEvals {
-		return e.evalCand(w, c)
-	}
-	e.cacheMu.Lock()
-	ent, hit := e.cache[c.idx]
-	if !hit {
-		ent = &evalEntry{}
-		e.cache[c.idx] = ent
-	}
-	e.cacheMu.Unlock()
-	ran := false
-	ent.once.Do(func() {
-		ent.ns, ent.st, ent.ok = e.evalCand(w, c)
-		ran = true
-	})
-	if !ran && ent.ok {
-		e.dedup.Add(1)
-		if e.enabled {
-			e.rec.Add("advisor_dedup_hits_total", 1)
-		}
-	}
-	return ent.ns, ent.st, ent.ok
+// scored is one evaluation outcome. ok is false when the search must stop
+// (cancellation, budget, or a prediction error already routed through fail).
+type scored struct {
+	ns float64
+	st *core.DeltaState
+	ok bool
 }
 
-// evalCand is the uncached evaluation behind evalOne: budget token,
-// prediction, recording, heap maintenance.
-func (e *engine) evalCand(w int, c cand) (float64, *core.DeltaState, bool) {
+// eval evaluates one candidate on worker w's predictor: it takes a budget
+// token, predicts (via delta from the candidate's parent state when one is
+// attached), records, and feeds worker w's top-K heap.
+func (e *engine) eval(w int, c cand) scored {
+	if e.stopping() {
+		return scored{}
+	}
 	// Take a budget token before predicting; handing back an over-limit
 	// grant keeps the total number of predictions across all workers exactly
 	// at the limit.
 	if e.granted.Add(1) > e.limit && e.limit > 0 {
 		e.granted.Add(-1)
 		e.budgetHit.Store(true)
-		return 0, nil, false
+		return scored{}
 	}
 	var start float64
 	if e.enabled {
@@ -197,7 +138,7 @@ func (e *engine) evalCand(w int, c cand) (float64, *core.DeltaState, bool) {
 	}
 	if err != nil {
 		e.fail(err)
-		return 0, nil, false
+		return scored{}
 	}
 	if e.enabled {
 		e.obsMu.Lock()
@@ -220,9 +161,7 @@ func (e *engine) evalCand(w int, c cand) (float64, *core.DeltaState, bool) {
 	r := Ranked{PredictedNS: res.TimeNS, Index: c.idx}
 	switch {
 	case e.opt.TopK > 0 && len(*kept) == e.opt.TopK:
-		root := &(*kept)[0]
-		if r.PredictedNS < root.PredictedNS ||
-			(r.PredictedNS == root.PredictedNS && r.Index < root.Index) {
+		if faster(r.PredictedNS, r.Index, (*kept)[0].PredictedNS, (*kept)[0].Index) {
 			r.Placement = st.Placement()
 			(*kept)[0] = r
 			heap.Fix(kept, 0)
@@ -231,14 +170,16 @@ func (e *engine) evalCand(w int, c cand) (float64, *core.DeltaState, bool) {
 		r.Placement = st.Placement()
 		heap.Push(kept, r)
 	}
-	return res.TimeNS, st, true
+	return scored{ns: res.TimeNS, st: st, ok: true}
 }
 
-// scored is one evalBatch outcome; ok mirrors evalOne's.
-type scored struct {
-	ns float64
-	st *core.DeltaState
-	ok bool
+// deduped counts one rediscovered candidate a strategy answered from its own
+// record instead of evaluating again.
+func (e *engine) deduped() {
+	e.dedup.Add(1)
+	if e.enabled {
+		e.rec.Add("advisor_dedup_hits_total", 1)
+	}
 }
 
 // evalBatch evaluates a batch of candidates across the engine's workers
@@ -254,9 +195,7 @@ func (e *engine) evalBatch(batch []cand) []scored {
 	}
 	if w <= 1 {
 		for i := range batch {
-			ns, st, ok := e.evalOne(0, batch[i])
-			out[i] = scored{ns: ns, st: st, ok: ok}
-			if !ok {
+			if out[i] = e.eval(0, batch[i]); !out[i].ok {
 				break
 			}
 		}
@@ -268,9 +207,7 @@ func (e *engine) evalBatch(batch []cand) []scored {
 		go func(wi int) {
 			defer wg.Done()
 			for i := wi; i < len(batch); i += w {
-				ns, st, ok := e.evalOne(wi, batch[i])
-				out[i] = scored{ns: ns, st: st, ok: ok}
-				if !ok {
+				if out[i] = e.eval(wi, batch[i]); !out[i].ok {
 					return
 				}
 			}
@@ -296,12 +233,7 @@ func (e *engine) worstKept() (float64, bool) {
 	if len(all) < e.opt.TopK {
 		return 0, false
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].PredictedNS != all[j].PredictedNS {
-			return all[i].PredictedNS < all[j].PredictedNS
-		}
-		return all[i].Index < all[j].Index
-	})
+	sortRanked(all)
 	return all[e.opt.TopK-1].PredictedNS, true
 }
 
@@ -362,10 +294,6 @@ func Search(ctx context.Context, cfg *gpu.Config, t *trace.Trace, pr *core.Predi
 		workers: workers,
 		limit:   int64(opt.MaxCandidates),
 		heaps:   make([]rankHeap, workers),
-		cache:   make(map[int64]*evalEntry),
-		// Strategies that never resubmit an index opt out in their run (the
-		// exhaustive enumeration); everyone else benefits from dedup.
-		cacheEvals: true,
 	}
 
 	strat.run(e)
@@ -382,12 +310,7 @@ func Search(ctx context.Context, cfg *gpu.Config, t *trace.Trace, pr *core.Predi
 	for _, h := range e.heaps {
 		out = append(out, h...)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].PredictedNS != out[j].PredictedNS {
-			return out[i].PredictedNS < out[j].PredictedNS
-		}
-		return out[i].Index < out[j].Index
-	})
+	sortRanked(out)
 	if opt.TopK > 0 && len(out) > opt.TopK {
 		out = out[:opt.TopK]
 	}
@@ -412,7 +335,13 @@ func Search(ctx context.Context, cfg *gpu.Config, t *trace.Trace, pr *core.Predi
 		// The search did not (necessarily) cover the whole legal space:
 		// count it so Evaluated/Total reports the true coverage. A complete
 		// exhaustive search covered exactly what it evaluated.
-		res.Total = placement.CountLegal(t, cfg)
+		// Counting walks the whole raw space, which can take far longer
+		// than the search itself: it stops with the search's context.
+		total, err := space.Count(ctx)
+		if err != nil {
+			return nil, err
+		}
+		res.Total = total
 	} else {
 		res.Total = candidates
 	}

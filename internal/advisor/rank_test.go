@@ -3,14 +3,18 @@ package advisor
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
+	"time"
 
+	"gpuhms/internal/core"
 	"gpuhms/internal/gpu"
 	"gpuhms/internal/hmserr"
 	"gpuhms/internal/kernels"
 	"gpuhms/internal/obs"
 	"gpuhms/internal/placement"
+	"gpuhms/internal/trace"
 )
 
 var (
@@ -188,4 +192,41 @@ func TestRankParallelWhileServing(t *testing.T) {
 		t.Error(err)
 	}
 	wg.Wait()
+}
+
+// TestSearchCountHonorsDeadline pins that a search never outlives its
+// context: greedy and beam finish their walk of a 13-array read-only trace
+// quickly, but counting its 4^13 legal placements for Total takes far
+// longer than the deadline, so the count must stop with ctx.Err().
+func TestSearchCountHonorsDeadline(t *testing.T) {
+	b := trace.NewBuilder("wide", trace.Launch{Blocks: 2, ThreadsPerBlock: 64, WarpSize: 32})
+	var ids []trace.ArrayID
+	for i := 0; i < 13; i++ {
+		ids = append(ids, b.DeclareArray(trace.Array{Name: fmt.Sprintf("a%d", i), Type: trace.F32, Len: 256, ReadOnly: true}))
+	}
+	for blk := 0; blk < 2; blk++ {
+		for w := 0; w < 2; w++ {
+			wb := b.Warp(blk, w)
+			for _, id := range ids {
+				wb.LoadCoalesced(id, int64(blk*128+w*32), 32)
+			}
+		}
+	}
+	tr := b.MustBuild()
+	cfg := gpu.MustLookup("k80")
+	a := &Advisor{Cfg: cfg, Model: core.NewModel(cfg, core.FullOptions())}
+	pr, err := a.PredictorContext(context.Background(), tr, placement.New(len(tr.Arrays)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, strat := range []Strategy{Greedy(), Beam(4)} {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		start := time.Now()
+		_, err := Search(ctx, cfg, tr, pr.Clone(), RankOptions{Strategy: strat}, nil)
+		elapsed := time.Since(start)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) || elapsed > 3*time.Second {
+			t.Errorf("%s: err %v after %v, want context.DeadlineExceeded within 3s", strat.Spec(), err, elapsed)
+		}
+	}
 }

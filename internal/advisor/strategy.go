@@ -1,6 +1,7 @@
 package advisor
 
 import (
+	"math/bits"
 	"sort"
 	"strconv"
 	"strings"
@@ -9,7 +10,6 @@ import (
 	"gpuhms/internal/core"
 	"gpuhms/internal/hmserr"
 	"gpuhms/internal/placement"
-	"gpuhms/internal/trace"
 )
 
 // Strategy selects how a ranking search covers the legal placement space.
@@ -53,8 +53,8 @@ func Exhaustive() Strategy { return exhaustive{} }
 // Greedy returns per-array coordinate descent from the sample placement:
 // each round evaluates every unseen single-array move from the current
 // placement (in parallel) and takes the strictly best one; the search stops
-// when no move improves. Evaluations are cached by enumeration index, so a
-// placement is never predicted twice.
+// when no move improves. A move to a placement it already evaluated is
+// skipped, so a placement is never predicted twice.
 func Greedy() Strategy { return greedy{} }
 
 // Beam returns a width-w beam search over arrays in declaration order: level
@@ -102,88 +102,30 @@ func ParseStrategy(spec string) (Strategy, error) {
 }
 
 // exhaustive is the complete search: every legal placement predicted exactly
-// once. Workers split the raw mixed-radix space into contiguous blocks of a
-// reflected-Gray walk, so within a block consecutive placements differ in a
-// single array and each evaluation is a delta from the previous one; only
-// block starts (and resumptions after a skipped illegal run) pay a
-// standalone evaluation. Coverage and ranking are identical to a plain
-// enumeration — only the visit order differs.
+// once. Workers split the space's reflected order (placement.Space.GrayWalk)
+// into contiguous ranges. Most consecutive placements in a range differ in a
+// single array, and each of those evaluations is a delta from the previous
+// one; range starts and steps that moved several arrays pay a standalone
+// evaluation. Coverage and ranking are identical to a plain enumeration —
+// only the visit order differs.
 type exhaustive struct{}
 
 func (exhaustive) Spec() string { return "exhaustive" }
 
 func (exhaustive) run(e *engine) {
-	// A complete enumeration visits every index exactly once: the eval cache
-	// could never hit, and populating it would retain a DeltaState per legal
-	// placement until the search ends. Delta chaining below uses the previous
-	// evaluation's state directly and needs no cache.
-	e.cacheEvals = false
-	n := e.space.Arrays()
-	if n == 0 {
-		return
-	}
-	raw := e.space.RawSize()
-	workers := int64(e.workers)
+	raw, workers := e.space.RawSize(), int64(e.workers)
 	runWorker := func(w int64) {
-		lo, hi := w*raw/workers, (w+1)*raw/workers
-		if lo >= hi {
-			return
-		}
-		radix := make([]int64, n)
-		for j := 0; j < n; j++ {
-			radix[j] = int64(len(e.space.ArrayOptions(j)))
-		}
-		std := make([]int64, n) // standard mixed-radix digits of the position
-		pl := placement.New(n)
 		var prev *core.DeltaState
-		for pos := lo; pos < hi; pos++ {
-			// Reflected-Gray decode: digit j counts up or down depending on
-			// the parity of the more significant standard digits, so
-			// consecutive positions differ in exactly one digit (the
-			// mixed-radix generalization of g = b XOR b>>1).
-			for j, rem := n-1, pos; j >= 0; j-- {
-				std[j] = rem % radix[j]
-				rem /= radix[j]
-			}
-			parity := int64(0)
-			for j := 0; j < n; j++ {
-				d := std[j]
-				if parity%2 != 0 {
-					d = radix[j] - 1 - d
-				}
-				pl.Spaces[j] = e.space.ArrayOptions(j)[d]
-				parity += std[j]
-			}
-			if placement.Check(e.t, pl, e.cfg) != nil {
-				continue
-			}
-			idx, ok := e.space.IndexOf(pl)
-			if !ok {
-				continue
-			}
-			c := cand{idx: idx, pl: pl}
-			// Delta from the previous evaluation when the walk has moved
-			// exactly one array since then; a skipped illegal run can
-			// accumulate multi-array differences, which fall back to a
-			// standalone evaluation.
-			if prev != nil {
-				pp := prev.Placement()
-				moved, diff := -1, 0
-				for j := 0; j < n && diff < 2; j++ {
-					if pp.Spaces[j] != pl.Spaces[j] {
-						moved, diff = j, diff+1
-					}
-				}
-				if diff == 1 {
+		e.space.GrayWalk(e.inner, share(raw, w, workers), share(raw, w+1, workers),
+			func(idx int64, moved int, pl *placement.Placement) bool {
+				c := cand{idx: idx, pl: pl}
+				if prev != nil && moved >= 0 {
 					c.prev, c.array, c.space = prev, moved, pl.Spaces[moved]
 				}
-			}
-			_, st, ok := e.evalOne(int(w), c)
-			if !ok {
-				return
-			}
-			prev = st
-		}
+				r := e.eval(int(w), c)
+				prev = r.st
+				return r.ok
+			})
 	}
 	if e.workers == 1 {
 		runWorker(0)
@@ -197,13 +139,22 @@ func (exhaustive) run(e *engine) {
 	wg.Wait()
 }
 
+// share returns the first of worker w's positions when n positions are split
+// into k contiguous ranges: ⌊n·w/k⌋, computed without overflow.
+func share(n, w, k int64) int64 {
+	hi, lo := bits.Mul64(uint64(n), uint64(w))
+	q, _ := bits.Div64(hi, lo, uint64(k))
+	return int64(q)
+}
+
 // greedy is per-array coordinate descent from the sample placement.
 type greedy struct{}
 
 func (greedy) Spec() string { return "greedy" }
 
 func (greedy) run(e *engine) {
-	if e.space.Arrays() == 0 {
+	n := e.space.Arrays()
+	if n == 0 {
 		return
 	}
 	sample := e.preds[0].SamplePlacement()
@@ -211,36 +162,30 @@ func (greedy) run(e *engine) {
 	if !ok {
 		return
 	}
-	curNS, curSt, ok := e.evalOne(0, cand{idx: idx, pl: sample.Clone()})
-	if !ok {
+	cur := e.eval(0, cand{idx: idx, pl: sample.Clone()})
+	if !cur.ok {
 		return
 	}
-	cur := curSt.Placement()
+	curPl := cur.st.Placement()
+	// seen holds every index evaluated so far. A move back to one can never
+	// win a round: its score was produced when the descent's current
+	// prediction was no better than now, so it is ≥ cur.ns and fails the
+	// strict-improvement test below. Such moves are skipped and counted as
+	// dedups.
+	seen := map[int64]bool{idx: true}
 	for {
-		// One round: every legal single-array move from the current
-		// placement, generated in deterministic (array, option) order, each
-		// a delta from the current state. Moves already evaluated in earlier
-		// rounds are resubmitted — the engine answers them from its cache for
-		// free, and they can never win a round: a cached score was produced
-		// when the descent's current prediction was no better than now, so
-		// it is ≥ curNS and fails the strict-improvement test below.
+		// One round: every unseen legal single-array move from the current
+		// placement, in (array, option) order, each a delta from the
+		// current state.
 		var batch []cand
-		for j := 0; j < e.space.Arrays(); j++ {
-			for _, sp := range e.space.ArrayOptions(j) {
-				if sp == cur.Spaces[j] {
-					continue
-				}
-				next := cur.WithMove(trace.ArrayID(j), sp)
-				if placement.Check(e.t, next, e.cfg) != nil {
-					continue
-				}
-				ni, ok := e.space.IndexOf(next)
-				if !ok {
-					continue
-				}
-				batch = append(batch, cand{idx: ni, pl: next, prev: curSt, array: j, space: sp})
+		e.space.Neighbors(curPl, 0, n, func(ni int64, j int, next *placement.Placement) {
+			if seen[ni] {
+				e.deduped()
+				return
 			}
-		}
+			seen[ni] = true
+			batch = append(batch, cand{idx: ni, pl: next, prev: cur.st, array: j, space: next.Spaces[j]})
+		})
 		if len(batch) == 0 {
 			return
 		}
@@ -250,21 +195,17 @@ func (greedy) run(e *engine) {
 		}
 		best := -1
 		for i, r := range res {
-			if !r.ok {
-				continue
-			}
-			if best < 0 || r.ns < res[best].ns ||
-				(r.ns == res[best].ns && batch[i].idx < batch[best].idx) {
+			if r.ok && (best < 0 || faster(r.ns, batch[i].idx, res[best].ns, batch[best].idx)) {
 				best = i
 			}
 		}
 		// Move only on strict improvement: the current prediction strictly
 		// decreases every round, so no placement ever repeats as current and
 		// the descent terminates.
-		if best < 0 || res[best].ns >= curNS {
+		if best < 0 || res[best].ns >= cur.ns {
 			return
 		}
-		cur, curNS, curSt = batch[best].pl, res[best].ns, res[best].st
+		cur, curPl = res[best], batch[best].pl
 	}
 }
 
@@ -288,18 +229,21 @@ func (b beam) run(e *engine) {
 
 	type state struct {
 		pl  *placement.Placement
-		st  *core.DeltaState
-		ns  float64
 		idx int64
+		scored
 	}
-	rootNS, rootSt, ok := e.evalOne(0, cand{idx: rootIdx, pl: sample.Clone()})
-	if !ok {
+	root := e.eval(0, cand{idx: rootIdx, pl: sample.Clone()})
+	if !root.ok {
 		return
 	}
+	// evaluated records every state's score and DeltaState by index, so a
+	// state truncated from the frontier and rediscovered at a later level
+	// re-enters contention without a second prediction.
+	evaluated := map[int64]scored{rootIdx: root}
 	// Every frontier state is a fully legal placement: arrays below the
 	// current level are decided, arrays at or above it still hold the
 	// sample's spaces. The root is the sample itself.
-	frontier := []state{{pl: sample.Clone(), st: rootSt, ns: rootNS, idx: rootIdx}}
+	frontier := []state{{pl: sample.Clone(), idx: rootIdx, scored: root}}
 
 	for level := 0; level < n; level++ {
 		// The prune threshold is the current global k-th best prediction —
@@ -308,27 +252,18 @@ func (b beam) run(e *engine) {
 		worstNS, full := e.worstKept()
 		// Children are deduplicated within the level (two frontier parents
 		// differing only at this level generate the same child) and against
-		// the current frontier; a child evaluated at an earlier level but
-		// since truncated may re-enter — the engine's eval cache answers it
-		// for free, so rediscovered states stay in contention at no cost.
+		// the current frontier.
 		inFrontier := make(map[int64]bool, len(frontier))
 		for _, st := range frontier {
 			inFrontier[st.idx] = true
 		}
 		gen := map[int64]bool{}
 		var batch []cand
+		var readmit []state
 		for _, st := range frontier {
-			for _, sp := range e.space.ArrayOptions(level) {
-				if sp == st.pl.Spaces[level] {
-					continue // the unchanged child is the parent itself
-				}
-				child := st.pl.WithMove(trace.ArrayID(level), sp)
-				if placement.Check(e.t, child, e.cfg) != nil {
-					continue
-				}
-				ci, ok := e.space.IndexOf(child)
-				if !ok || gen[ci] || inFrontier[ci] {
-					continue
+			e.space.Neighbors(st.pl, level, level+1, func(ci int64, _ int, child *placement.Placement) {
+				if gen[ci] || inFrontier[ci] {
+					return
 				}
 				gen[ci] = true
 				// Admissible bound on every completion of the child's fixed
@@ -338,11 +273,17 @@ func (b beam) run(e *engine) {
 				// could still displace a higher-index candidate.
 				if full && lower.Bound(child, level+1) > worstNS {
 					e.pruned.Add(1)
-					continue
+					return
 				}
-				batch = append(batch, cand{idx: ci, pl: child, prev: st.st, array: level, space: sp})
-			}
+				if sc, ok := evaluated[ci]; ok {
+					e.deduped()
+					readmit = append(readmit, state{pl: child, idx: ci, scored: sc})
+					return
+				}
+				batch = append(batch, cand{idx: ci, pl: child, prev: st.st, array: level, space: child.Spaces[level]})
+			})
 		}
+		frontier = append(frontier, readmit...)
 		if len(batch) > 0 {
 			res := e.evalBatch(batch)
 			if e.stopping() {
@@ -350,17 +291,15 @@ func (b beam) run(e *engine) {
 			}
 			for i, r := range res {
 				if r.ok {
-					frontier = append(frontier, state{pl: batch[i].pl, st: r.st, ns: r.ns, idx: batch[i].idx})
+					evaluated[batch[i].idx] = r
+					frontier = append(frontier, state{pl: batch[i].pl, idx: batch[i].idx, scored: r})
 				}
 			}
 		}
 		// Parents stay in contention (keeping the sample's space at this
 		// level); the next frontier is the best width states overall.
 		sort.Slice(frontier, func(i, j int) bool {
-			if frontier[i].ns != frontier[j].ns {
-				return frontier[i].ns < frontier[j].ns
-			}
-			return frontier[i].idx < frontier[j].idx
+			return faster(frontier[i].ns, frontier[i].idx, frontier[j].ns, frontier[j].idx)
 		})
 		if len(frontier) > b.width {
 			frontier = frontier[:b.width]

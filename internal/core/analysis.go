@@ -64,10 +64,6 @@ type Analysis struct {
 	// the inter-arrival coefficient of variation c_a (the Fig 4 statistics).
 	BankCaMean, BankCaStd float64
 
-	// InterArrivals holds the global DRAM inter-arrival proxy samples when
-	// collection was requested (Fig 4 histograms); nil otherwise.
-	InterArrivals []float64
-
 	// Staging.
 	StagingNS float64
 

@@ -295,7 +295,7 @@ func TestAnalysisEventParityWithSimulator(t *testing.T) {
 		t.Fatal(err)
 	}
 	model := NewModel(cfg, FullOptions())
-	an := model.AnalyzePlacement(tr, sample, sample, false)
+	an := model.AnalyzePlacement(tr, sample, sample)
 
 	if an.Events.InstExecuted != m.Events.InstExecuted {
 		t.Errorf("executed: analysis %d vs sim %d", an.Events.InstExecuted, m.Events.InstExecuted)

@@ -498,7 +498,7 @@ func (s *mergeScratch) reset() {
 // groups may be nil (cache-bypassing evaluations); group sims are then built
 // for this call only. scr must be freshly built or reset; the returned
 // Analysis owns all of its data.
-func (p *program) merge(pl *placement.Placement, contribs []*contribution, scr *mergeScratch, collectArrivals bool, groups *groupCache) *Analysis {
+func (p *program) merge(pl *placement.Placement, contribs []*contribution, scr *mergeScratch, groups *groupCache) *Analysis {
 	var constSim, texSim *groupSim
 	if hasSpace(contribs, true) {
 		constSim = p.groupFor(groups, true, contribs)
@@ -507,9 +507,9 @@ func (p *program) merge(pl *placement.Placement, contribs []*contribution, scr *
 		texSim = p.groupFor(groups, false, contribs)
 	}
 	if p.l2EvictionFree(contribs, constSim, texSim, scr) {
-		return p.mergeFast(pl, contribs, constSim, texSim, scr, collectArrivals)
+		return p.mergeFast(pl, contribs, constSim, texSim, scr)
 	}
-	return p.mergeExact(pl, contribs, scr, collectArrivals)
+	return p.mergeExact(pl, contribs, scr)
 }
 
 // hasSpace reports whether any contribution lives in the constant space
@@ -672,13 +672,12 @@ func (p *program) finishAnalysis(a *Analysis, an *dram.Analyzer, pl *placement.P
 
 // mergeExact replays every first-level line through the shared caches in
 // lockstep order — the general merge walk; see merge.
-func (p *program) mergeExact(pl *placement.Placement, contribs []*contribution, scr *mergeScratch, collectArrivals bool) *Analysis {
+func (p *program) mergeExact(pl *placement.Placement, contribs []*contribution, scr *mergeScratch) *Analysis {
 	a := p.analysisHeader(contribs)
 
 	slotNS := p.slotNS
 	proxyNS := 0.0
 	gi := 0
-	lastArrival := -1.0
 	an := scr.an
 	for i := range p.refs {
 		r := &p.refs[i]
@@ -718,12 +717,6 @@ func (p *program) mergeExact(pl *placement.Placement, contribs []*contribution, 
 		proxyNS += float64(1+replays) * slotNS
 
 		for _, line := range dramLines {
-			if collectArrivals {
-				if lastArrival >= 0 {
-					a.InterArrivals = append(a.InterArrivals, proxyNS-lastArrival)
-				}
-				lastArrival = proxyNS
-			}
 			an.Add(line, proxyNS)
 		}
 	}
@@ -738,7 +731,7 @@ func (p *program) mergeExact(pl *placement.Placement, contribs []*contribution, 
 // proxy-clock float chain plus one analyzer Add per DRAM request. Only valid
 // after l2EvictionFree proves no L2 eviction can occur; see merge for why the
 // output is then bit-for-bit the exact walk's.
-func (p *program) mergeFast(pl *placement.Placement, contribs []*contribution, constSim, texSim *groupSim, scr *mergeScratch, collectArrivals bool) *Analysis {
+func (p *program) mergeFast(pl *placement.Placement, contribs []*contribution, constSim, texSim *groupSim, scr *mergeScratch) *Analysis {
 	a := p.analysisHeader(contribs)
 
 	// Cache-dependent event counters, summed up front: integer totals don't
@@ -776,7 +769,6 @@ func (p *program) mergeFast(pl *placement.Placement, contribs []*contribution, c
 	slotNS := p.slotNS
 	proxyNS := 0.0
 	gi := 0
-	lastArrival := -1.0
 	an := scr.an
 	constCur, texCur := 0, 0
 	for i := range p.refs {
@@ -808,12 +800,6 @@ func (p *program) mergeFast(pl *placement.Placement, contribs []*contribution, c
 		proxyNS += float64(1+replays) * slotNS
 
 		for _, line := range dlines {
-			if collectArrivals {
-				if lastArrival >= 0 {
-					a.InterArrivals = append(a.InterArrivals, proxyNS-lastArrival)
-				}
-				lastArrival = proxyNS
-			}
 			an.Add(line, proxyNS)
 		}
 	}

@@ -74,8 +74,8 @@ func TestMergeFastMatchesExact(t *testing.T) {
 					continue
 				}
 				passed++
-				fast := prog.mergeFast(pl, contribs, constSim, texSim, newScratch(), true)
-				exact := prog.mergeExact(pl, contribs, newScratch(), true)
+				fast := prog.mergeFast(pl, contribs, constSim, texSim, newScratch())
+				exact := prog.mergeExact(pl, contribs, newScratch())
 				if !reflect.DeepEqual(fast, exact) {
 					t.Fatalf("%s/%s %s: mergeFast diverges from mergeExact:\nfast:  %+v\nexact: %+v",
 						arch, name, pl.Format(tr), fast, exact)

@@ -220,11 +220,10 @@ func (p *Predictor) SamplePlacement() *placement.Placement { return p.sample }
 func (p *Predictor) Profile() SampleProfile { return p.profile }
 
 // AnalyzePlacement runs the §IV trace analysis of one placement under this
-// model's mapping and distribution mode, optionally collecting the global
-// DRAM inter-arrival samples (the Fig 4 study). It runs the same decomposed
+// model's mapping and distribution mode. It runs the same decomposed
 // evaluation as Predict, but standalone: the program and every contribution
 // are built fresh and nothing is cached.
-func (m *Model) AnalyzePlacement(t *trace.Trace, sample, target *placement.Placement, collectArrivals bool) *Analysis {
+func (m *Model) AnalyzePlacement(t *trace.Trace, sample, target *placement.Placement) *Analysis {
 	prog := newProgram(m.Cfg, t)
 	layout := placement.Retarget(t, placement.NewLayout(t, sample), sample, target)
 	resolver := memsys.NewHierarchy(m.Cfg)
@@ -233,7 +232,7 @@ func (m *Model) AnalyzePlacement(t *trace.Trace, sample, target *placement.Place
 		sp := target.Spaces[i]
 		contribs[i] = prog.buildContribution(resolver, trace.ArrayID(i), sp, addrKeyOf(layout, sp, i))
 	}
-	return prog.merge(target, contribs, newMergeScratch(m.Cfg, m.Mapping, m.distMode()), collectArrivals, nil)
+	return prog.merge(target, contribs, newMergeScratch(m.Cfg, m.Mapping, m.distMode()), nil)
 }
 
 // evalState runs the decomposed evaluation of a target placement: resolve the
@@ -286,7 +285,7 @@ func (p *Predictor) evalState(target *placement.Placement, prev *DeltaState, mov
 	} else {
 		p.scr.reset()
 	}
-	an := p.prog.merge(target, contribs, p.scr, false, groups)
+	an := p.prog.merge(target, contribs, p.scr, groups)
 	p.mu.Unlock()
 	st := &DeltaState{place: target.Clone(), layout: layout, contribs: contribs}
 	return an, st, hits, builds

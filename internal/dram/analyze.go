@@ -225,32 +225,3 @@ func (a *Analyzer) MeanCa() (mean, std float64) {
 	}
 	return stats.Mean(cas), stats.StdDev(cas)
 }
-
-// InterArrivals returns a flat sample of inter-arrival proxies across all
-// banks by replay order; used to build the Fig 4 histograms.
-type InterArrivalCollector struct {
-	analyzer *Analyzer
-	Samples  []float64
-	lastAny  float64
-	seenAny  bool
-}
-
-// NewInterArrivalCollector wraps an analyzer and also records the global
-// (all-banks) inter-arrival sequence.
-func NewInterArrivalCollector(a *Analyzer) *InterArrivalCollector {
-	return &InterArrivalCollector{analyzer: a}
-}
-
-// Add forwards to the analyzer and records the global inter-arrival gap.
-func (c *InterArrivalCollector) Add(addr uint64, at float64) Outcome {
-	if c.seenAny {
-		d := at - c.lastAny
-		if d < 0 {
-			d = 0
-		}
-		c.Samples = append(c.Samples, d)
-	}
-	c.seenAny = true
-	c.lastAny = at
-	return c.analyzer.Add(addr, at)
-}

@@ -348,15 +348,3 @@ func TestMeanCa(t *testing.T) {
 		t.Errorf("single-bank std = %g", std)
 	}
 }
-
-func TestInterArrivalCollector(t *testing.T) {
-	tp := topo()
-	a := NewAnalyzer(tp, DefaultMapping(tp), Mapped)
-	c := NewInterArrivalCollector(a)
-	c.Add(0, 5)
-	c.Add(32, 9)
-	c.Add(64, 20)
-	if len(c.Samples) != 2 || c.Samples[0] != 4 || c.Samples[1] != 11 {
-		t.Errorf("samples = %v", c.Samples)
-	}
-}

@@ -117,3 +117,15 @@ func OrNop(r Recorder) Recorder {
 	}
 	return r
 }
+
+// MetricsOnly returns a view of r that forwards counters, gauges, histograms
+// and progress and drops spans and instants. A long-lived server hands it to
+// the layers under a request (simulator, model, advisor), so their metrics
+// reach /metrics while its bounded timeline keeps room for the sampled
+// request spans it exists for.
+func MetricsOnly(r Recorder) Recorder { return metricsOnly{OrNop(r)} }
+
+type metricsOnly struct{ Recorder }
+
+func (metricsOnly) Span(string, string, float64, float64) {}
+func (metricsOnly) Instant(string, string, float64)       {}

@@ -5,6 +5,7 @@
 package placement
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -287,54 +288,26 @@ func Options(t *trace.Trace, id trace.ArrayID, cfg *gpu.Config) []gpu.MemSpace {
 }
 
 // EnumerateSeq streams every legal placement of the trace's arrays, in a
-// deterministic order (lexicographic by array ID and space), calling yield
-// for each one. The yielded placement is scratch space owned by the
-// enumerator — it is only valid for the duration of the callback; callers
-// keeping a candidate must Clone it. Returning false from yield stops the
-// enumeration early.
+// deterministic order (lexicographic by array ID and space — ascending raw
+// index of the Space), calling yield for each one. The yielded placement is
+// scratch space owned by the enumerator — it is only valid for the duration
+// of the callback; callers keeping a candidate must Clone it. Returning false
+// from yield stops the enumeration early.
 //
 // Streaming keeps the m^n exploration space of the paper's introduction out
 // of memory: a budgeted or top-K consumer holds O(K) placements instead of
 // the full space. A zero-array trace yields nothing: it has no placement
 // decisions to rank.
 func EnumerateSeq(t *trace.Trace, cfg *gpu.Config, yield func(*Placement) bool) {
-	if len(t.Arrays) == 0 {
-		return
-	}
-	opts := make([][]gpu.MemSpace, len(t.Arrays))
-	for i := range t.Arrays {
-		opts[i] = Options(t, trace.ArrayID(i), cfg)
-	}
-	cur := New(len(t.Arrays))
-	var rec func(i int) bool
-	rec = func(i int) bool {
-		if i == len(opts) {
-			if Check(t, cur, cfg) != nil {
-				return true
-			}
-			return yield(cur)
-		}
-		for _, sp := range opts[i] {
-			cur.Spaces[i] = sp
-			if !rec(i + 1) {
-				return false
-			}
-		}
-		return true
-	}
-	rec(0)
+	s := NewSpace(t, cfg)
+	s.walk(context.Background(), 0, s.raw, false, func(_ int64, _ int, p *Placement) bool { return yield(p) })
 }
 
 // CountLegal returns the size of the legal placement space of a trace — the
-// denominator of an "evaluated N of M candidates" progress report. It
-// streams the space, so memory stays O(1); cost is one legality check per
-// candidate (no model evaluations).
+// denominator of an "evaluated N of M candidates" progress report. It is
+// Space.Count without a deadline.
 func CountLegal(t *trace.Trace, cfg *gpu.Config) int {
-	n := 0
-	EnumerateSeq(t, cfg, func(*Placement) bool {
-		n++
-		return true
-	})
+	n, _ := NewSpace(t, cfg).Count(context.Background())
 	return n
 }
 
@@ -354,17 +327,9 @@ func Enumerate(t *trace.Trace, cfg *gpu.Config) []*Placement {
 // evaluation style ("kernel[array(G→T)]").
 func Moves(t *trace.Trace, sample *Placement, cfg *gpu.Config) []*Placement {
 	var out []*Placement
-	for i := range t.Arrays {
-		for _, sp := range Options(t, trace.ArrayID(i), cfg) {
-			if sp == sample.Spaces[i] {
-				continue
-			}
-			cand := sample.WithMove(trace.ArrayID(i), sp)
-			if Check(t, cand, cfg) == nil {
-				out = append(out, cand)
-			}
-		}
-	}
+	NewSpace(t, cfg).Neighbors(sample, 0, len(t.Arrays), func(_ int64, _ int, next *Placement) {
+		out = append(out, next)
+	})
 	sort.Slice(out, func(a, b int) bool { return out[a].String() < out[b].String() })
 	return out
 }

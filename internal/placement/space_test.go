@@ -1,6 +1,8 @@
 package placement
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"gpuhms/internal/gpu"
@@ -8,7 +10,7 @@ import (
 )
 
 // seqWithIndex collects the EnumerateSeq stream annotated with each legal
-// placement's raw (unscreened) index — the reference EnumerateShard must
+// placement's raw (unscreened) index — the reference the Space walks must
 // reproduce.
 func seqWithIndex(t *trace.Trace, cfg *gpu.Config) (idxs []int64, pls []*Placement) {
 	s := NewSpace(t, cfg)
@@ -79,62 +81,35 @@ func TestSpaceAtMatchesEnumerateSeq(t *testing.T) {
 	}
 }
 
-func TestEnumerateShardUnionMatchesSeq(t *testing.T) {
+// TestSpaceWalkEdges pins the walks' boundaries: early stop, degenerate
+// ranges, the zero-array space, and a deadline that ends the count.
+func TestSpaceWalkEdges(t *testing.T) {
 	tr := testTrace(t)
 	cfg := gpu.KeplerK80()
 	s := NewSpace(tr, cfg)
-	wantIdx, wantPl := seqWithIndex(tr, cfg)
-
-	for _, stride := range []int{1, 2, 3, 7, 64, int(s.RawSize()) + 5} {
-		got := make(map[int64]*Placement)
-		for shard := 0; shard < stride; shard++ {
-			lastIdx := int64(-1)
-			s.EnumerateShard(shard, stride, func(idx int64, p *Placement) bool {
-				if idx%int64(stride) != int64(shard) {
-					t.Fatalf("stride %d shard %d yielded idx %d", stride, shard, idx)
-				}
-				if idx <= lastIdx {
-					t.Fatalf("stride %d shard %d: idx %d after %d (not ascending)", stride, shard, idx, lastIdx)
-				}
-				lastIdx = idx
-				if _, dup := got[idx]; dup {
-					t.Fatalf("stride %d: duplicate idx %d", stride, idx)
-				}
-				got[idx] = p.Clone()
-				return true
-			})
-		}
-		if len(got) != len(wantIdx) {
-			t.Fatalf("stride %d: %d placements, want %d", stride, len(got), len(wantIdx))
-		}
-		for k, idx := range wantIdx {
-			p, ok := got[idx]
-			if !ok || !p.Equal(wantPl[k]) {
-				t.Fatalf("stride %d: idx %d missing or wrong", stride, idx)
-			}
-		}
-	}
-}
-
-func TestEnumerateShardEarlyStopAndEdges(t *testing.T) {
-	tr := testTrace(t)
-	cfg := gpu.KeplerK80()
-	s := NewSpace(tr, cfg)
+	ctx := context.Background()
 
 	// Early stop: yield false after the first placement.
 	n := 0
-	s.EnumerateShard(0, 1, func(int64, *Placement) bool { n++; return false })
+	s.GrayWalk(ctx, 0, s.RawSize(), func(int64, int, *Placement) bool { n++; return false })
 	if n != 1 {
 		t.Fatalf("early stop yielded %d placements", n)
 	}
 
-	// Degenerate shard parameters yield nothing.
-	for _, bad := range [][2]int{{-1, 2}, {0, 0}, {0, -3}, {int(s.RawSize()), 1}} {
+	// Degenerate ranges yield nothing.
+	for _, bad := range [][2]int64{{-1, 2}, {0, 0}, {3, 2}, {0, s.RawSize() + 1}} {
 		n = 0
-		s.EnumerateShard(bad[0], bad[1], func(int64, *Placement) bool { n++; return true })
+		s.GrayWalk(ctx, bad[0], bad[1], func(int64, int, *Placement) bool { n++; return true })
 		if n != 0 {
-			t.Fatalf("EnumerateShard(%d, %d) yielded %d placements", bad[0], bad[1], n)
+			t.Fatalf("GrayWalk(%d, %d) yielded %d placements", bad[0], bad[1], n)
 		}
+	}
+
+	// An ended context stops the count with its error.
+	canceled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := s.Count(canceled); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Count on a canceled context: %v, want context.Canceled", err)
 	}
 
 	// A zero-array trace has an empty space.
@@ -145,9 +120,9 @@ func TestEnumerateShardEarlyStopAndEdges(t *testing.T) {
 		t.Fatalf("zero-array RawSize = %d", es.RawSize())
 	}
 	n = 0
-	es.EnumerateShard(0, 1, func(int64, *Placement) bool { n++; return true })
-	if n != 0 {
-		t.Fatalf("zero-array shard yielded %d", n)
+	es.GrayWalk(ctx, 0, 1, func(int64, int, *Placement) bool { n++; return true })
+	if c, err := es.Count(ctx); n != 0 || c != 0 || err != nil {
+		t.Fatalf("zero-array walk yielded %d, Count = %d, %v", n, c, err)
 	}
 	if es.At(0, New(0)) {
 		t.Fatal("zero-array At(0) = true")

@@ -8,11 +8,7 @@
 // times (clustered at the row-buffer hit / miss / conflict latencies).
 package queuing
 
-import (
-	"fmt"
-
-	"gpuhms/internal/stats"
-)
+import "fmt"
 
 // Variant selects the queuing-delay approximation.
 type Variant uint8
@@ -66,17 +62,6 @@ type Stream struct {
 	// term misses at low utilization.
 	Batch float64
 	N     int64 // number of requests observed
-}
-
-// StreamFromSamples computes a Stream summary from raw samples.
-func StreamFromSamples(interArrival, service []float64) Stream {
-	return Stream{
-		TauA:   stats.Mean(interArrival),
-		SigmaA: stats.StdDev(interArrival),
-		TauS:   stats.Mean(service),
-		SigmaS: stats.StdDev(service),
-		N:      int64(len(service)),
-	}
 }
 
 // Ca returns the coefficient of variation of the inter-arrival times

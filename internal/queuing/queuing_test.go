@@ -167,13 +167,3 @@ func TestVariantString(t *testing.T) {
 		}
 	}
 }
-
-func TestStreamFromSamples(t *testing.T) {
-	s := StreamFromSamples([]float64{2, 4, 6}, []float64{1, 1, 1, 1})
-	if s.TauA != 4 || s.TauS != 1 || s.N != 4 {
-		t.Errorf("unexpected stream %+v", s)
-	}
-	if s.SigmaS != 0 {
-		t.Errorf("constant service stddev = %g", s.SigmaS)
-	}
-}

@@ -356,7 +356,7 @@ func (s *Server) runFleet(ctx context.Context, adv *advisor.Advisor, req *FleetR
 		MaxCandidates: req.MaxCandidates,
 		Parallelism:   parallelism,
 		Solver:        solver,
-		Recorder:      s.col,
+		Recorder:      obs.MetricsOnly(s.col),
 	})
 	if err != nil {
 		return nil, err

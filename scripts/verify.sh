@@ -4,8 +4,8 @@
 # microbench, baseline) out of hmsserved and hmsplace, a guard keeping
 # advisor.PredictorContext the one profiling path of serving code, vet and
 # test of the perfbench benchmark module, the full test suite under the race
-# detector, the shard-enumerator and resolution-kernel oracle fuzz seeds under
-# race, one-pass benchmark smokes of parallel ranking, delta evaluation,
+# detector, the placement-space walk and resolution-kernel oracle fuzz seeds
+# under race, one-pass benchmark smokes of parallel ranking, delta evaluation,
 # contribution builds and simulator runs, the wall-clock bounds the race pass
 # skips (run here without -race), a short
 # smoke of the observability no-op-overhead contract (the disabled recorder
@@ -82,11 +82,12 @@ GOWORK=off GOPROXY=off go -C perfbench test ./...
 echo "== go test -race ./..."
 go test -race ./...
 
-echo "== shard enumerator fuzz seeds under race"
-# FuzzEnumerateShard pins union-of-shards == EnumerateSeq (no dup, no miss);
-# replaying its seed corpus under the race detector also exercises the
-# sharded enumeration the parallel ranking engine is built on.
-go test -race ./internal/placement/ -run 'FuzzEnumerateShard' -count=1
+echo "== placement-space walk fuzz seeds under race"
+# FuzzSpaceWalk pins the exhaustive search's per-worker reflected range walks
+# (placement.Space.GrayWalk) to a division-based reference decode: every
+# legal placement yielded exactly once across 1-16 worker ranges, each with
+# its IndexOf and the one array it moved.
+go test -race ./internal/placement/ -run 'FuzzSpaceWalk' -count=1
 
 echo "== resolution kernel oracle fuzz seeds under race"
 # FuzzResolveMatchesReference pins ResolveScratch/AccessScratch to the
