@@ -46,18 +46,24 @@
 // (the default) enumerates the whole m^n legal space; greedy and beam-W
 // evaluate a small subset chosen by the model. Sub-exhaustive rankings list
 // only the candidates the strategy evaluated, and -json attaches their
-// coverage.
+// coverage. The default mode and -target rank an explicit candidate list —
+// the sample plus its single-array moves, or the one target — so their
+// -json coverage is {evaluated, total: the list's length, strategy:
+// "candidates"}.
 //
-// Searches are bounded: -timeout aborts profiling and search after a wall
-// clock limit, -budget caps model evaluations, -top keeps only the K best
-// rows. A search stopped by budget (or, outside -full, by timeout) still
-// prints the best placements found so far, under a "partial search" banner,
-// and exits with code 3 so scripts can tell a partial ranking from a
-// complete one. -full fans the ranking out over -parallel workers (default
-// GOMAXPROCS) with output identical to the sequential search; -measure
-// simulates only the rows that end up displayed. Every mode — default
-// moves, -target, -full under any strategy — feeds one shared rendering
-// path, so -top, -measure, and -json behave identically across them.
+// Every mode runs through one search engine (advisor.Search) and one
+// response builder (service.NewRankResponse), so -top, -measure, -budget,
+// -parallel and -json behave identically across them. Searches are bounded:
+// -timeout aborts profiling and search after a wall-clock limit (exit code
+// 1, no rows), -budget caps model evaluations, -top keeps only the K best
+// rows. A search stopped by its budget still prints the best placements
+// found so far, under a "partial search" banner, and exits with code 3 so
+// scripts can tell a partial ranking from a complete one. Evaluations fan
+// out over -parallel workers (default GOMAXPROCS) with output identical to
+// the sequential search: rows fastest-first, exact ties in enumeration-index
+// order. Only which candidates a -budget covers depends on the worker count.
+// -measure simulates only the rows that end up displayed. -scale must be at
+// least 1, and -top, -budget and -parallel may not be negative.
 //
 // Observability (docs/OBSERVABILITY.md): -trace-out writes the session's
 // span timeline as Chrome trace_event JSON, loadable in chrome://tracing or
@@ -89,7 +95,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strconv"
 	"strings"
 	"text/tabwriter"
@@ -134,7 +139,7 @@ func main() {
 		timeout  = flag.Duration("timeout", 0, "abort profiling and search after this long, e.g. 30s (0 = no limit)")
 		budget   = flag.Int("budget", 0, "stop after this many model evaluations (0 = unlimited)")
 		top      = flag.Int("top", 0, "print only the K best candidates (0 = all)")
-		parallel = flag.Int("parallel", 0, "ranking workers for -full (0 = GOMAXPROCS, 1 = sequential); output is identical for every value")
+		parallel = flag.Int("parallel", 0, "ranking workers for every mode (0 = GOMAXPROCS, 1 = sequential); output is identical for every value")
 		jsonOut  = flag.Bool("json", false, "emit the ranking as the advisory service's JSON RankResponse (docs/SERVICE.md) instead of a table")
 
 		fleetSpec = flag.String("fleet", "", "solve a capacity-constrained fleet: a tenant-spec file, or mix:NAME for a bundled mix (docs/FLEET.md)")
@@ -199,6 +204,10 @@ func main() {
 	defer stopProfiles()
 	if *jsonOut && *explain {
 		log.Fatal("-json supports the ranking modes only (not -explain)")
+	}
+	if *scale < 1 || *top < 0 || *budget < 0 || *parallel < 0 {
+		log.Fatalf("out of range: -scale %d (want >= 1), -top %d, -budget %d, -parallel %d (want >= 0)",
+			*scale, *top, *budget, *parallel)
 	}
 	strat, err := advisor.ParseStrategy(*strategy)
 	if err != nil {
@@ -376,172 +385,63 @@ func main() {
 			*kernel, kernels.MustGet(*kernel).KernelName, samplePl.Format(tr), pred.Profile().TimeNS)
 	}
 
-	type row struct {
-		pl        *placement.Placement
-		predicted float64
-		measured  float64
-	}
-	var rows []row
-	var res *advisor.RankResult // set by -full: carries strategy + coverage
-	evals := 0
-	bestNS, bestPl := 0.0, ""
-	var stopReason error
-	// predictOne appends one candidate's prediction, honoring the wall-clock
-	// and evaluation budgets; it reports whether the search may continue.
-	predictOne := func(pl *placement.Placement) bool {
-		if err := runCtx.Err(); err != nil {
-			stopReason = err
-			return false
-		}
-		if *budget > 0 && evals >= *budget {
-			stopReason = hmserr.Wrap(hmserr.ErrBudgetExceeded, "%d model evaluations", *budget)
-			return false
-		}
-		evals++
-		start := rec.Now()
-		p, err := pred.Predict(pl)
-		if err != nil {
-			log.Fatalf("predict %s: %v", pl.Format(tr), err)
-		}
-		if rec.Enabled() {
-			rec.Add("advisor_evals_total", 1)
-			rec.Span("advisor", "eval "+pl.Format(tr), start, rec.Now()-start)
-			if bestPl == "" || p.TimeNS < bestNS {
-				bestNS, bestPl = p.TimeNS, pl.Format(tr)
-				rec.Gauge("advisor_best_ns", bestNS)
-			}
-			rec.ReportProgress(obs.Progress{Evaluated: evals, BestNS: bestNS, Best: bestPl})
-		}
-		rows = append(rows, row{pl: pl, predicted: p.TimeNS})
-		return true
-	}
+	// Every mode ranks through the one search engine, which owns the budget,
+	// cancellation, eval recording, progress, top-K and the (predicted,
+	// index) order. -target and the default mode rank an explicit candidate
+	// list — the target, or the sample plus its single-array moves; -full
+	// runs the parsed strategy over the whole legal space.
+	var cands []*placement.Placement
 	switch {
 	case *target != "":
 		pl, err := placement.Parse(tr, *target)
 		if err != nil {
 			log.Fatal(err)
 		}
-		predictOne(pl)
-	case *full:
-		// Rank through the search engine: the chosen strategy decides which
-		// candidates are predicted, workers stream its work in deterministic
-		// shards, and the merged ranking is identical for every worker count.
-		// The engine emits the eval spans, best-so-far gauges, and the
-		// closing progress report itself.
-		workers := *parallel
-		if workers == 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		result, rerr := advisor.Search(runCtx, cfg, tr, pred, advisor.RankOptions{
-			TopK: *top, MaxCandidates: *budget, Parallelism: workers, Strategy: strat,
-		}, rec)
-		if rerr != nil && !errors.Is(rerr, hmserr.ErrBudgetExceeded) {
-			log.Fatal(rerr)
-		}
-		if rerr != nil {
-			stopReason = rerr
-		}
-		res = result
-		evals = res.Evaluated
-		for _, r := range res.Ranked {
-			rows = append(rows, row{pl: r.Placement, predicted: r.PredictedNS})
-		}
-	default:
-		for _, pl := range append([]*placement.Placement{samplePl},
-			placement.Moves(tr, samplePl, cfg)...) {
-			if !predictOne(pl) {
-				break
-			}
-		}
+		cands = []*placement.Placement{pl}
+	case !*full:
+		cands = []*placement.Placement{samplePl}
+		placement.NewSpace(tr, cfg).Neighbors(samplePl, 0, len(tr.Arrays),
+			func(_ int64, _ int, next *placement.Placement) { cands = append(cands, next) })
 	}
-	// The candidate-space size closes out the search progress and, with
-	// -json, a partial ranking's coverage record.
-	total := evals
-	switch {
-	case *full:
-		total = res.Total
-	case *target == "":
-		total = 1 + len(placement.Moves(tr, samplePl, cfg))
+	if cands != nil {
+		strat = advisor.Candidates(cands...)
 	}
-	if rec.Enabled() && !*full {
-		// Close out the search progress: report coverage of the candidate
-		// space so partial searches can be judged from the metrics alone.
-		// (-full's closeout is emitted by the ranking engine itself.)
-		rec.Gauge("advisor_rank_evaluated", float64(evals))
-		rec.Gauge("advisor_rank_total", float64(total))
-		rec.ReportProgress(obs.Progress{
-			Evaluated: evals, Total: total, BestNS: bestNS, Best: bestPl, Done: true,
-		})
+	workers := *parallel
+	if workers == 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	if len(rows) == 0 {
-		if stopReason != nil {
-			log.Fatalf("no candidate evaluated before the search stopped: %v", stopReason)
-		}
+	res, stop := advisor.Search(runCtx, cfg, tr, pred, advisor.RankOptions{
+		TopK: *top, MaxCandidates: *budget, Parallelism: workers, Strategy: strat,
+	}, rec)
+	resp, err := service.NewRankResponse(archName, *kernel, *scale, tr, samplePl, res, stop)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if len(resp.Ranked) == 0 {
 		log.Fatal("no legal candidate placements")
 	}
-	// One shared rendering path for every mode: rows are sorted fastest-first
-	// (stably, preserving each producer's deterministic tie order — the
-	// engine's (predicted, index) order for -full, generation order for
-	// moves) and truncated to -top here, so -top/-measure/-json behave
-	// identically whether the rows came from moves, -target, or a -full
-	// strategy.
-	sort.SliceStable(rows, func(i, j int) bool { return rows[i].predicted < rows[j].predicted })
-	if *top > 0 && len(rows) > *top {
-		rows = rows[:*top]
-	}
 	if *measure {
-		// Measure only the displayed rows — a -top 5 ranking costs 5
-		// simulator runs, not one per enumerated candidate.
-		for i := range rows {
-			m, err := adv.MeasureOn(tr, samplePl, rows[i].pl)
+		// Measure only the kept rows — a -top 5 ranking costs 5 simulator
+		// runs, not one per evaluated candidate. The server never fills
+		// measured_ns.
+		for i, r := range res.Ranked {
+			m, err := adv.MeasureOn(tr, samplePl, r.Placement)
 			if err != nil {
-				log.Fatalf("measure %s: %v", rows[i].pl.Format(tr), err)
+				log.Fatalf("measure %s: %v", resp.Ranked[i].Placement, err)
 			}
-			rows[i].measured = m.TimeNS
+			resp.Ranked[i].MeasuredNS = m.TimeNS
 		}
 	}
 
 	if *jsonOut {
-		// Emit the exact wire shape of the advisory service's /v1/rank
-		// (docs/SERVICE.md), so CLI and server outputs are interchangeable;
-		// -measure additionally fills measured_ns, which the server never
-		// does.
-		ranked := make([]advisor.Ranked, len(rows))
-		for i, r := range rows {
-			ranked[i] = advisor.Ranked{Placement: r.pl, PredictedNS: r.predicted}
-		}
-		out := service.BuildRanked(tr, samplePl, ranked)
-		if *measure {
-			for i := range out {
-				out[i].MeasuredNS = rows[i].measured
-			}
-		}
-		resp := &service.RankResponse{
-			Arch:   archName,
-			Kernel: *kernel,
-			Scale:  *scale,
-			Sample: samplePl.Format(tr),
-			Ranked: out,
-		}
-		if stopReason != nil {
-			resp.Partial = true
-		}
-		// Coverage is attached whenever the ranking does not cover the whole
-		// legal space: partial (budget-stopped) searches and sub-exhaustive
-		// strategies — mirroring the service's contract.
-		if stopReason != nil || (res != nil && res.Strategy != "exhaustive") {
-			resp.Coverage = &service.Coverage{Evaluated: evals, Total: total}
-			if res != nil {
-				resp.Coverage.Strategy = res.Strategy
-				resp.Coverage.Pruned = res.Pruned
-			}
-		}
+		// The exact wire shape of the advisory service's /v1/rank
+		// (docs/SERVICE.md), so CLI and server outputs are interchangeable.
 		if err := json.NewEncoder(os.Stdout).Encode(resp); err != nil {
 			log.Fatal(err)
 		}
 		emitArtifacts()
-		if stopReason != nil {
-			fmt.Fprintf(os.Stderr, "hmsplace: partial search: %v\n", stopReason)
+		if stop != nil {
+			fmt.Fprintf(os.Stderr, "hmsplace: partial search: %v\n", stop)
 			os.Exit(exitPartial)
 		}
 		return
@@ -553,49 +453,51 @@ func main() {
 	} else {
 		fmt.Fprintln(w, "RANK\tPLACEMENT\tPREDICTED(ns)\tSPEEDUP\t")
 	}
-	samplePred := rows[0].predicted
-	for _, r := range rows {
-		if r.pl.Equal(samplePl) {
-			samplePred = r.predicted
+	// Speedups are relative to the sample's row, or to the fastest row when
+	// the sample was not kept.
+	samplePred := resp.Ranked[0].PredictedNS
+	for _, r := range resp.Ranked {
+		if r.IsSample {
+			samplePred = r.PredictedNS
 		}
 	}
-	for i, r := range rows {
+	for i, r := range resp.Ranked {
 		mark := ""
-		if r.pl.Equal(samplePl) {
+		if r.IsSample {
 			mark = " (sample)"
 		}
 		if *measure {
 			fmt.Fprintf(w, "%d\t%s%s\t%.0f\t%.2fx\t%.0f\t\n",
-				i+1, r.pl.Format(tr), mark, r.predicted, samplePred/r.predicted, r.measured)
+				i+1, r.Placement, mark, r.PredictedNS, samplePred/r.PredictedNS, r.MeasuredNS)
 		} else {
 			fmt.Fprintf(w, "%d\t%s%s\t%.0f\t%.2fx\t\n",
-				i+1, r.pl.Format(tr), mark, r.predicted, samplePred/r.predicted)
+				i+1, r.Placement, mark, r.PredictedNS, samplePred/r.PredictedNS)
 		}
 	}
 	w.Flush()
-	if res != nil && res.Strategy != "exhaustive" {
-		fmt.Printf("\n%s search: evaluated %d of %d legal placements", res.Strategy, evals, total)
+	if cands == nil && res.Strategy != "exhaustive" {
+		fmt.Printf("\n%s search: evaluated %d of %d legal placements", res.Strategy, res.Evaluated, res.Total)
 		if res.Pruned > 0 {
 			fmt.Printf(" (%d pruned by bound)", res.Pruned)
 		}
 		fmt.Println()
 	}
 
-	if *explain && len(rows) > 0 {
-		p, err := pred.Predict(rows[0].pl)
+	if *explain {
+		p, err := pred.Predict(res.Ranked[0].Placement)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("\nwhy %s is ranked first:\n%s", rows[0].pl.Format(tr), p.Explain(cfg.NSPerCycle()))
+		fmt.Printf("\nwhy %s is ranked first:\n%s", resp.Ranked[0].Placement, p.Explain(cfg.NSPerCycle()))
 	}
 
 	// Flush observability artifacts before any exit: a partial search
 	// (exit code 3) must still leave its trace and metrics behind.
 	emitArtifacts()
 
-	if stopReason != nil {
+	if stop != nil {
 		fmt.Printf("\npartial search: %v; ranking covers only the %d candidates evaluated\n",
-			stopReason, evals)
+			stop, res.Evaluated)
 		os.Exit(exitPartial)
 	}
 }

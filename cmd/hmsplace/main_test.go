@@ -43,10 +43,16 @@ func run(t *testing.T, args ...string) ([]byte, int) {
 }
 
 // TestExitCodes pins the codes scripts branch on: 4 for an unknown kernel or
-// tenant kernel, 3 for a search stopped by its budget.
+// tenant kernel, 3 for a search stopped by its budget, 1 for a number out of
+// range (checked before training, in kernel and fleet mode alike).
 func TestExitCodes(t *testing.T) {
-	tenants := filepath.Join(t.TempDir(), "tenants.txt")
+	dir := t.TempDir()
+	tenants := filepath.Join(dir, "tenants.txt")
 	if err := os.WriteFile(tenants, []byte("tenant fft\ntenant nope\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	good := filepath.Join(dir, "good.txt")
+	if err := os.WriteFile(good, []byte("tenant fft\ntenant vecadd\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
@@ -56,6 +62,15 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"-kernel", "nope"}, exitUnknownName},
 		{[]string{"-fleet", tenants}, exitUnknownName},
 		{[]string{"-kernel", "spmv", "-full", "-budget", "5"}, exitPartial},
+		{[]string{"-kernel", "fft", "-scale", "-3", "-full", "-json"}, 1},
+		{[]string{"-kernel", "fft", "-scale", "0"}, 1},
+		{[]string{"-kernel", "fft", "-top", "-2"}, 1},
+		{[]string{"-kernel", "fft", "-full", "-budget", "-5"}, 1},
+		{[]string{"-kernel", "fft", "-full", "-parallel", "-1"}, 1},
+		{[]string{"-fleet", good, "-scale", "0"}, 1},
+		{[]string{"-fleet", good, "-budget", "-5"}, 1},
+		{[]string{"-fleet", good, "-parallel", "-2"}, 1},
+		{[]string{"-fleet", good, "-top", "-1"}, 1},
 	} {
 		if _, code := run(t, tc.args...); code != tc.want {
 			t.Errorf("hmsplace %v exited %d, want %d", tc.args, code, tc.want)
@@ -63,7 +78,9 @@ func TestExitCodes(t *testing.T) {
 	}
 }
 
-// TestGoldenStdout pins the table and JSON renderings byte for byte.
+// TestGoldenStdout pins the table and JSON renderings byte for byte. The
+// default mode's -json carries its candidate-list coverage, and mriq's tied
+// predictions list in enumeration-index order for every worker count.
 func TestGoldenStdout(t *testing.T) {
 	for _, tc := range []struct {
 		golden string
@@ -71,6 +88,9 @@ func TestGoldenStdout(t *testing.T) {
 	}{
 		{"spmv.golden", []string{"-kernel", "spmv"}},
 		{"spmv_full_json_top1.golden", []string{"-kernel", "spmv", "-full", "-json", "-top", "1"}},
+		{"spmv_json.golden", []string{"-kernel", "spmv", "-json"}},
+		{"mriq.golden", []string{"-kernel", "mriq", "-parallel", "1"}},
+		{"mriq.golden", []string{"-kernel", "mriq", "-parallel", "3"}},
 	} {
 		want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
 		if err != nil {

@@ -165,7 +165,8 @@ type RankOptions struct {
 	Parallelism int
 	// Strategy selects how the search covers the space: nil or Exhaustive()
 	// predicts every legal placement; Greedy() and Beam(w) visit a
-	// model-guided subset and rank only what they visit (docs/SEARCH.md).
+	// model-guided subset and rank only what they visit; Candidates(...)
+	// ranks an explicit list (docs/SEARCH.md).
 	Strategy Strategy
 }
 

@@ -35,10 +35,10 @@ type RankResult struct {
 	// them once — greedy moves it skips, beam states it re-admits from its
 	// own record — free: no prediction ran and no budget token was spent.
 	Deduped int
-	// Total is the size of the legal placement space. For a complete
-	// exhaustive search it equals Evaluated; sub-exhaustive and
-	// budget-stopped searches count it separately so Evaluated/Total is
-	// their true coverage.
+	// Total is the size of the legal placement space, or of the list for
+	// Candidates. For a complete exhaustive search it equals Evaluated;
+	// sub-exhaustive and budget-stopped searches count it separately so
+	// Evaluated/Total is their true coverage.
 	Total int
 }
 
@@ -331,7 +331,10 @@ func Search(ctx context.Context, cfg *gpu.Config, t *trace.Trace, pr *core.Predi
 		Deduped:   int(e.dedup.Load()),
 	}
 	budget := e.budgetHit.Load()
-	if budget || e.spec != "exhaustive" {
+	if list, ok := strat.(candidateList); ok {
+		// An explicit list is its own candidate space.
+		res.Total = len(list)
+	} else if budget || e.spec != "exhaustive" {
 		// The search did not (necessarily) cover the whole legal space:
 		// count it so Evaluated/Total reports the true coverage. A complete
 		// exhaustive search covered exactly what it evaluated.

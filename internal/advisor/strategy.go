@@ -1,6 +1,7 @@
 package advisor
 
 import (
+	"fmt"
 	"math/bits"
 	"sort"
 	"strconv"
@@ -13,9 +14,9 @@ import (
 )
 
 // Strategy selects how a ranking search covers the legal placement space.
-// The built-in strategies — Exhaustive, Greedy, Beam — are the closed set of
-// implementations (the interface has an unexported method); pick one by
-// constructor or parse a wire spec with ParseStrategy.
+// The built-in strategies — Exhaustive, Greedy, Beam, Candidates — are the
+// closed set of implementations (the interface has an unexported method);
+// pick one by constructor or parse a wire spec with ParseStrategy.
 //
 // Every strategy preserves the engine contracts (docs/SEARCH.md): results are
 // deterministic for any worker count, a MaxCandidates budget stops the search
@@ -26,8 +27,8 @@ import (
 // bundled kernels (pinned in tests), but in general a sub-exhaustive search
 // may return a near-optimal placement with bounded regret.
 type Strategy interface {
-	// Spec returns the canonical wire spelling of the strategy:
-	// "exhaustive", "greedy", "beam-4". It is what the service echoes in
+	// Spec returns the canonical spelling of the strategy: "exhaustive",
+	// "greedy", "beam-4", "candidates". It is what the service echoes in
 	// RankResponse.Coverage and keys its result cache on.
 	Spec() string
 
@@ -72,6 +73,14 @@ func Beam(width int) Strategy {
 	}
 	return beam{width: width}
 }
+
+// Candidates returns the strategy that predicts exactly the given placements
+// and nothing else — a caller's own short list, such as a sample plus its
+// single-array moves. Every placement must pass placement.Check, or the
+// search fails with that error. The ranking's Total is len(pls): the list is
+// the candidate space, so Search never walks the whole placement space for
+// it. Its spec, "candidates", is engine-only: ParseStrategy rejects it.
+func Candidates(pls ...*placement.Placement) Strategy { return candidateList(pls) }
 
 // ParseStrategy converts a wire spec into a Strategy: "" or "exhaustive",
 // "greedy", "beam" (DefaultBeamWidth), or "beam-W" for an explicit width.
@@ -145,6 +154,28 @@ func share(n, w, k int64) int64 {
 	hi, lo := bits.Mul64(uint64(n), uint64(w))
 	q, _ := bits.Div64(hi, lo, uint64(k))
 	return int64(q)
+}
+
+// candidateList is an explicit list of placements, evaluated as one batch.
+type candidateList []*placement.Placement
+
+func (candidateList) Spec() string { return "candidates" }
+
+func (l candidateList) run(e *engine) {
+	batch := make([]cand, len(l))
+	for i, pl := range l {
+		if err := placement.Check(e.t, pl, e.cfg); err != nil {
+			e.fail(err)
+			return
+		}
+		idx, ok := e.space.IndexOf(pl)
+		if !ok {
+			e.fail(fmt.Errorf("placement %s is outside the placement space", pl.Format(e.t)))
+			return
+		}
+		batch[i] = cand{idx: idx, pl: pl}
+	}
+	e.evalBatch(batch)
 }
 
 // greedy is per-array coordinate descent from the sample placement.

@@ -243,6 +243,7 @@ func TestParseStrategy(t *testing.T) {
 	bad := []string{
 		"annealing", "beam-", "beam-0", "beam--3", "beam-4x", "beam-4.5",
 		fmt.Sprintf("beam-%d", MaxBeamWidth+1), "exhaustive greedy",
+		"candidates", // engine-only: no wire spec selects a candidate list
 	}
 	for _, spec := range bad {
 		if _, err := ParseStrategy(spec); !errors.Is(err, hmserr.ErrUnknownStrategy) {

@@ -7,7 +7,6 @@ package placement
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 
 	"gpuhms/internal/gpu"
@@ -319,17 +318,5 @@ func Enumerate(t *trace.Trace, cfg *gpu.Config) []*Placement {
 		out = append(out, p.Clone())
 		return true
 	})
-	return out
-}
-
-// Moves returns single-array moves from the sample placement, one target
-// placement per (array, legal space ≠ current). This matches the paper's
-// evaluation style ("kernel[array(G→T)]").
-func Moves(t *trace.Trace, sample *Placement, cfg *gpu.Config) []*Placement {
-	var out []*Placement
-	NewSpace(t, cfg).Neighbors(sample, 0, len(t.Arrays), func(_ int64, _ int, next *Placement) {
-		out = append(out, next)
-	})
-	sort.Slice(out, func(a, b int) bool { return out[a].String() < out[b].String() })
 	return out
 }

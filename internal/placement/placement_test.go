@@ -187,11 +187,14 @@ func TestEnumerateCountsAndLegality(t *testing.T) {
 	}
 }
 
-func TestMoves(t *testing.T) {
+func TestSpaceNeighbors(t *testing.T) {
 	cfg := gpu.KeplerK80()
 	tr := testTrace(t)
 	sample := New(len(tr.Arrays))
-	moves := Moves(tr, sample, cfg)
+	var moves []*Placement
+	NewSpace(tr, cfg).Neighbors(sample, 0, len(tr.Arrays), func(_ int64, _ int, next *Placement) {
+		moves = append(moves, next)
+	})
 	// in: 4 non-global options; w: 3; out: 1 → 8 single moves.
 	if len(moves) != 8 {
 		t.Errorf("moves = %d, want 8", len(moves))

@@ -492,10 +492,21 @@ func (s *Server) runRank(ctx context.Context, adv *advisor.Advisor, req *RankReq
 		Parallelism:   parallelism,
 		Strategy:      strat,
 	})
+	return NewRankResponse(req.Arch, req.Kernel, req.Scale, tr, sample, res, err)
+}
+
+// NewRankResponse assembles the wire reply of a ranking search from its
+// result and error, for the server and `hmsplace -json` alike. A budget stop
+// (hmserr.ErrBudgetExceeded) still yields a response, marked Partial; any
+// other error is returned as-is. Coverage accompanies every partial ranking
+// and every ranking that is not exhaustive, so the response records what the
+// search actually looked at (and what the beam's bound pruned).
+func NewRankResponse(arch, kernel string, scale int, tr *trace.Trace, sample *placement.Placement,
+	res *advisor.RankResult, err error) (*RankResponse, error) {
 	resp := &RankResponse{
-		Arch:   req.Arch,
-		Kernel: req.Kernel,
-		Scale:  req.Scale,
+		Arch:   arch,
+		Kernel: kernel,
+		Scale:  scale,
 		Sample: sample.Format(tr),
 	}
 	if err != nil {
@@ -505,9 +516,6 @@ func (s *Server) runRank(ctx context.Context, adv *advisor.Advisor, req *RankReq
 		resp.Partial = true
 	}
 	if res != nil {
-		// Coverage accompanies every partial or sub-exhaustive ranking, so
-		// the response records what the search actually looked at (and what
-		// the beam's bound pruned).
 		if resp.Partial || res.Strategy != "exhaustive" {
 			resp.Coverage = &Coverage{
 				Evaluated: res.Evaluated,
@@ -554,8 +562,8 @@ func (s *Server) runPredict(ctx context.Context, adv *advisor.Advisor, req *Pred
 
 // BuildRanked converts an advisor ranking into wire rows, marking the
 // sample placement's own row and computing speedups against its prediction
-// when the sample appears in the ranking. It is shared by the server and
-// `hmsplace -json`, so CLI and service outputs are interchangeable.
+// when the sample appears in the ranking. NewRankResponse builds its rows
+// with it.
 func BuildRanked(tr *trace.Trace, sample *placement.Placement, ranked []advisor.Ranked) []RankedPlacement {
 	sampleNS := 0.0
 	for _, r := range ranked {

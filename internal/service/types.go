@@ -59,12 +59,14 @@ type RankedPlacement struct {
 
 // Coverage reports how much of the legal candidate space a search predicted:
 // attached whenever the ranking is partial (budget-stopped) or produced by a
-// sub-exhaustive strategy, so a response never silently looks exhaustive.
+// sub-exhaustive strategy or an explicit candidate list (`hmsplace` without
+// -full), so a response never silently looks exhaustive.
 type Coverage struct {
 	Evaluated int `json:"evaluated"`
 	Total     int `json:"total"`
 	// Strategy is the effective search strategy ("exhaustive", "greedy",
-	// "beam-4") after server defaults were applied.
+	// "beam-4", or "candidates" for a list) after server defaults were
+	// applied.
 	Strategy string `json:"strategy,omitempty"`
 	// Pruned counts candidates the beam search's admissible bound skipped.
 	Pruned int `json:"pruned,omitempty"`

@@ -2,7 +2,8 @@
 # verify.sh — the repository's verification gate: vet (plus staticcheck when
 # installed), build, a guard keeping the paper harness (internal/experiments,
 # microbench, baseline) out of hmsserved and hmsplace, a guard keeping
-# advisor.PredictorContext the one profiling path of serving code, vet and
+# advisor.PredictorContext the one profiling path of serving code, a guard
+# keeping advisor.Search the one evaluation loop of hmsplace, vet and
 # test of the perfbench benchmark module, the full test suite under the race
 # detector, the placement-space walk and resolution-kernel oracle fuzz seeds
 # under race, one-pass benchmark smokes of parallel ranking, delta evaluation,
@@ -69,6 +70,15 @@ if [ -n "$stray" ]; then
 fi
 if git grep --untracked -q '"gpuhms/internal/sim"' -- 'cmd/hmsplace/*.go' ':!*_test.go'; then
     echo "verify: cmd/hmsplace imports gpuhms/internal/sim; profile through the advisor" >&2
+    exit 1
+fi
+
+echo "== one evaluation loop"
+# Every hmsplace ranking mode runs through advisor.Search, which owns the
+# eval, progress and coverage telemetry; hmsplace itself must not report
+# progress or name an advisor_ metric.
+if git grep --untracked -n -E 'ReportProgress\(|"advisor_' -- 'cmd/hmsplace/*.go' ':!*_test.go'; then
+    echo "verify: cmd/hmsplace records search telemetry; rank through advisor.Search" >&2
     exit 1
 fi
 
