@@ -63,7 +63,7 @@
 // the sequential search: rows fastest-first, exact ties in enumeration-index
 // order. Only which candidates a -budget covers depends on the worker count.
 // -measure simulates only the rows that end up displayed. -scale must be at
-// least 1, and -top, -budget and -parallel may not be negative.
+// least 1, and -top, -budget, -parallel and -timeout may not be negative.
 //
 // Observability (docs/OBSERVABILITY.md): -trace-out writes the session's
 // span timeline as Chrome trace_event JSON, loadable in chrome://tracing or
@@ -110,7 +110,7 @@ import (
 	"gpuhms/internal/service"
 )
 
-// exitPartial is the exit code of a search stopped by -budget or -timeout:
+// exitPartial is the exit code of a search stopped by -budget:
 // results were printed, but they cover only part of the candidate space.
 const exitPartial = 3
 
@@ -205,9 +205,9 @@ func main() {
 	if *jsonOut && *explain {
 		log.Fatal("-json supports the ranking modes only (not -explain)")
 	}
-	if *scale < 1 || *top < 0 || *budget < 0 || *parallel < 0 {
-		log.Fatalf("out of range: -scale %d (want >= 1), -top %d, -budget %d, -parallel %d (want >= 0)",
-			*scale, *top, *budget, *parallel)
+	if *scale < 1 || *top < 0 || *budget < 0 || *parallel < 0 || *timeout < 0 {
+		log.Fatalf("out of range: -scale %d (want >= 1), -top %d, -budget %d, -parallel %d, -timeout %s (want >= 0)",
+			*scale, *top, *budget, *parallel, *timeout)
 	}
 	strat, err := advisor.ParseStrategy(*strategy)
 	if err != nil {

@@ -67,10 +67,12 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"-kernel", "fft", "-top", "-2"}, 1},
 		{[]string{"-kernel", "fft", "-full", "-budget", "-5"}, 1},
 		{[]string{"-kernel", "fft", "-full", "-parallel", "-1"}, 1},
+		{[]string{"-kernel", "fft", "-timeout", "-1s"}, 1},
 		{[]string{"-fleet", good, "-scale", "0"}, 1},
 		{[]string{"-fleet", good, "-budget", "-5"}, 1},
 		{[]string{"-fleet", good, "-parallel", "-2"}, 1},
 		{[]string{"-fleet", good, "-top", "-1"}, 1},
+		{[]string{"-fleet", good, "-timeout", "-5s"}, 1},
 	} {
 		if _, code := run(t, tc.args...); code != tc.want {
 			t.Errorf("hmsplace %v exited %d, want %d", tc.args, code, tc.want)

@@ -18,12 +18,8 @@ package core
 
 import (
 	"gpuhms/internal/dram"
-	"gpuhms/internal/gpu"
-	"gpuhms/internal/memsys"
 	"gpuhms/internal/perf"
 	"gpuhms/internal/queuing"
-	"gpuhms/internal/replay"
-	"gpuhms/internal/trace"
 )
 
 // Analysis is the output of the §IV framework for one (trace, placement)
@@ -41,10 +37,9 @@ import (
 type Analysis struct {
 	Events perf.Events
 
-	// Instruction aggregates (whole kernel).
-	IssueSlots  int64 // executed + addressing + replays
-	Executed    int64 // executed incl. addressing-mode instructions
-	Replays14   int64 // replays from placement-dependent causes (1)-(4)
+	// Instruction aggregates (whole kernel). Issue slots, executed
+	// instructions and replays are Events' IssueSlots, InstExecuted and
+	// TotalReplays.
 	MemInsts    int64 // warp-level loads+stores
 	OffchipReqs int64 // mem insts to off-chip spaces
 	RemoteReqs  int64 // off-chip mem insts to remote-placed arrays (chiplet)
@@ -75,44 +70,4 @@ type Analysis struct {
 	// B/S, so the kernel finishes ceil(B/S)·S/B later than a perfectly
 	// balanced launch would.
 	Imbalance float64
-}
-
-// countAnalysisEvents maps one resolved memory access onto the prediction's
-// event counters.
-func countAnalysisEvents(ev *perf.Events, res *memsys.Result, replays int64) {
-	ev.InstIssued += 1 + replays
-	ev.InstExecuted++
-	ev.LdstIssued += 1 + replays
-	ev.IssueSlots += 1 + replays
-	switch res.Space.Base() {
-	case gpu.Global:
-		ev.GlobalRequests++
-	case gpu.Constant:
-		ev.ConstantRequest++
-	case gpu.Texture1D, gpu.Texture2D:
-		ev.TextureRequests++
-	case gpu.Shared:
-		ev.SharedRequests++
-	}
-	ev.ReplayGlobalDiv += res.Replays.ByReason[replay.GlobalDivergence]
-	ev.ReplayConstMiss += res.Replays.ByReason[replay.ConstantMiss]
-	ev.ReplayConstDiv += res.Replays.ByReason[replay.ConstantDivergence]
-	ev.ReplayShared += res.Replays.ByReason[replay.SharedBankConflict]
-	ev.ReplayAtomic += res.Replays.ByReason[replay.AtomicConflict]
-	ev.L2Transactions += int64(res.L2Accesses)
-	ev.L2Misses += int64(res.L2Misses)
-	ev.ConstAccesses += int64(res.ConstAccesses)
-	ev.ConstMisses += int64(res.ConstMiss)
-	ev.TexAccesses += int64(res.TexAccesses)
-	ev.TexMisses += int64(res.TexMiss)
-	ev.SharedBankConflicts += int64(res.SharedConflicts)
-}
-
-// residentWarps mirrors the simulator's resident-warp estimate.
-func residentWarps(t *trace.Trace, cfg *gpu.Config) float64 {
-	per := float64(t.Launch.TotalWarps()) / float64(cfg.ActiveSMs(t.Launch.Blocks))
-	if max := float64(cfg.MaxWarpsPerSM); per > max {
-		return max
-	}
-	return per
 }

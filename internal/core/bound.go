@@ -1,7 +1,9 @@
 package core
 
 import (
+	"gpuhms/internal/addrmode"
 	"gpuhms/internal/gpu"
+	"gpuhms/internal/memsys"
 	"gpuhms/internal/placement"
 	"gpuhms/internal/trace"
 )
@@ -56,7 +58,7 @@ func NewPlacementBound(p *Predictor) *PlacementBound {
 		imbalance = worst / perSM
 	}
 	nsPerCycle := cfg.NSPerCycle()
-	throughput := m.effectiveThroughput(residentWarps(t, cfg))
+	throughput := m.effectiveThroughput(memsys.ResidentWarps(t, cfg))
 	b.scaleNS = throughput / activeSMs * imbalance * nsPerCycle
 
 	// One pass over the trace: placement-independent executed instructions
@@ -110,7 +112,7 @@ func NewPlacementBound(p *Predictor) *PlacementBound {
 func (b *PlacementBound) costOf(j int, sp gpu.MemSpace) float64 {
 	var ns float64
 	if b.counting {
-		ns = b.accesses[j] * float64(addrModeInstrs(sp, b.t.Array(trace.ArrayID(j)).Type)) * b.scaleNS
+		ns = b.accesses[j] * float64(addrmode.InstrPerAccess(sp, b.t.Array(trace.ArrayID(j)).Type)) * b.scaleNS
 	}
 	if sp == gpu.Shared {
 		ns += float64(placement.SharedFootprint(b.t, trace.ArrayID(j))*b.t.Launch.Blocks) / b.cfg.SharedCopyGBs

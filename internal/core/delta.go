@@ -37,13 +37,13 @@ package core
 import (
 	"sync"
 
+	"gpuhms/internal/addrmode"
 	"gpuhms/internal/cache"
 	"gpuhms/internal/dram"
 	"gpuhms/internal/gpu"
 	"gpuhms/internal/memsys"
 	"gpuhms/internal/perf"
 	"gpuhms/internal/placement"
-	"gpuhms/internal/replay"
 	"gpuhms/internal/trace"
 )
 
@@ -75,8 +75,6 @@ type program struct {
 	// order; contributions are built by walking it.
 	arrayInsts [][]*trace.Inst
 
-	baseSlots  int64 // non-memory issue slots (FP64 double-issue included)
-	baseExec   int64 // non-memory executed instructions
 	baseEvents perf.Events
 	syncs      int64
 	mlp        float64
@@ -126,8 +124,6 @@ func newProgram(cfg *gpu.Config, t *trace.Trace) *program {
 				if in.Op == trace.OpSync {
 					p.syncs++
 				}
-				p.baseSlots += slots
-				p.baseExec += int64(in.Count)
 				p.baseEvents.InstExecuted += int64(in.Count)
 				p.baseEvents.InstIssued += int64(in.Count)
 				p.baseEvents.IssueSlots += slots
@@ -163,7 +159,7 @@ func newProgram(cfg *gpu.Config, t *trace.Trace) *program {
 	if loadRuns > 0 {
 		p.mlp = float64(loadsInRuns) / float64(loadRuns)
 	}
-	p.warpsPerSM = residentWarps(t, cfg)
+	p.warpsPerSM = memsys.ResidentWarps(t, cfg)
 	p.imbalance = 1
 	if blocks := t.Launch.Blocks; blocks > p.activeSMs {
 		perSM := float64(blocks) / float64(p.activeSMs)
@@ -199,12 +195,9 @@ type contribution struct {
 	lines   []uint64
 	lineOff []int32
 
-	events     perf.Events // cache-independent event counters, preambles included
-	executed   int64       // executed instructions: preamble + 1 per access
-	issueSlots int64       // executed + static replays
-	replays14  int64       // static part of placement-dependent replays
-	offchip    int64       // accesses counted as off-chip requests
-	transOff   int64       // first-level transactions of off-chip accesses
+	events   perf.Events // cache-independent event counters, preambles included
+	offchip  int64       // accesses counted as off-chip requests
+	transOff int64       // first-level transactions of off-chip accesses
 
 	// The remaining fields feed the eviction-free fast merge (see merge): as
 	// long as no L2 set ever fills past its associativity, an L2 access hits
@@ -230,33 +223,6 @@ type contribution struct {
 	l2Miss    int64 // distinct L2 tags: misses when no set ever evicts
 }
 
-// countResolvedEvents maps the cache-independent resolution of one memory
-// access onto the prediction's event counters; merge adds the cache-dependent
-// counters (misses, L2 traffic, constant-miss replays) per evaluation.
-func countResolvedEvents(ev *perf.Events, res *memsys.Resolved, staticReplays int64) {
-	ev.InstIssued += 1 + staticReplays
-	ev.InstExecuted++
-	ev.LdstIssued += 1 + staticReplays
-	ev.IssueSlots += 1 + staticReplays
-	switch res.Space.Base() {
-	case gpu.Global:
-		ev.GlobalRequests++
-	case gpu.Constant:
-		ev.ConstantRequest++
-		ev.ConstAccesses += int64(len(res.Lines))
-	case gpu.Texture1D, gpu.Texture2D:
-		ev.TextureRequests++
-		ev.TexAccesses += int64(len(res.Lines))
-	case gpu.Shared:
-		ev.SharedRequests++
-	}
-	ev.ReplayGlobalDiv += res.Replays.ByReason[replay.GlobalDivergence]
-	ev.ReplayConstDiv += res.Replays.ByReason[replay.ConstantDivergence]
-	ev.ReplayShared += res.Replays.ByReason[replay.SharedBankConflict]
-	ev.ReplayAtomic += res.Replays.ByReason[replay.AtomicConflict]
-	ev.SharedBankConflicts += int64(res.SharedConflicts)
-}
-
 // buildContribution resolves one array's accesses under (space, addr),
 // cache-independently. addr is the array's device base address for off-chip
 // spaces or its block-local byte offset for shared memory. resolver supplies
@@ -279,7 +245,7 @@ func (p *program) buildContribution(resolver *memsys.Hierarchy, array trace.Arra
 	c := &contribution{
 		space:         space,
 		addr:          addr,
-		k:             int64(addrModeInstrs(space, t.Array(array).Type)),
+		k:             int64(addrmode.InstrPerAccess(space, t.Array(array).Type)),
 		staticReplays: make([]int32, len(insts)),
 	}
 	offchip := space != gpu.Shared
@@ -291,19 +257,8 @@ func (p *program) buildContribution(resolver *memsys.Hierarchy, array trace.Arra
 	c.minTag = ^uint64(0)
 	for o, in := range insts {
 		res := resolver.ResolveScratch(b, in, &sc)
-		replays := res.Replays.Total()
-		c.staticReplays[o] = int32(replays)
-
-		// Addressing preamble: k integer instructions per access.
-		c.events.InstExecuted += c.k
-		c.events.InstIssued += c.k
-		c.events.InstInteger += c.k
-		c.events.IssueSlots += c.k
-		countResolvedEvents(&c.events, &res, replays)
-
-		c.executed += c.k + 1
-		c.issueSlots += c.k + 1 + replays
-		c.replays14 += replays
+		c.staticReplays[o] = int32(res.Replays.Total())
+		res.CountEvents(&c.events, c.k)
 		if offchip {
 			c.offchip++
 			c.transOff += int64(res.Transactions)
@@ -624,19 +579,14 @@ func (p *program) l2EvictionFree(contribs []*contribution, constSim, texSim *gro
 // the placement-independent base plus every contribution's static sums.
 func (p *program) analysisHeader(contribs []*contribution) *Analysis {
 	a := &Analysis{
-		ActiveSMs:  p.activeSMs,
-		Imbalance:  p.imbalance,
-		MLP:        p.mlp,
-		Syncs:      p.syncs,
-		Events:     p.baseEvents,
-		IssueSlots: p.baseSlots,
-		Executed:   p.baseExec,
-		MemInsts:   int64(len(p.refs)),
+		ActiveSMs: p.activeSMs,
+		Imbalance: p.imbalance,
+		MLP:       p.mlp,
+		Syncs:     p.syncs,
+		Events:    p.baseEvents,
+		MemInsts:  int64(len(p.refs)),
 	}
 	for _, c := range contribs {
-		a.IssueSlots += c.issueSlots
-		a.Executed += c.executed
-		a.Replays14 += c.replays14
 		a.OffchipReqs += c.offchip
 		a.TransPerOffchip += float64(c.transOff)
 		if c.space.Remote() {
@@ -660,10 +610,7 @@ func (p *program) finishAnalysis(a *Analysis, an *dram.Analyzer, pl *placement.P
 	a.CtlStreams = an.CtlStreams()
 	a.RawSpanNS = proxyNS
 	a.RowCounts = an.Counts()
-	a.Events.RowHits = an.Counts().Hits
-	a.Events.RowMisses = an.Counts().Misses
-	a.Events.RowConflicts = an.Counts().Conflicts
-	a.Events.DRAMRequests = an.Counts().Total()
+	memsys.CountRowEvents(&a.Events, a.RowCounts)
 	a.Events.WarpsPerSM = p.warpsPerSM
 	a.BankCaMean, a.BankCaStd = an.MeanCa()
 	a.StagingNS = placement.SharedStagingBytes(p.t, pl) / p.cfg.SharedCopyGBs
@@ -696,23 +643,11 @@ func (p *program) mergeExact(pl *placement.Placement, contribs []*contribution, 
 			}
 		}
 		scr.dram = dramLines
+		pc.CountEvents(&a.Events)
 
 		// Constant-cache misses are the one cache-dependent replay cause:
 		// they stretch this access's issue slots, shifting every later
 		// access's DRAM arrival, exactly as in the monolithic walk.
-		if pc.ConstMisses > 0 {
-			a.IssueSlots += pc.ConstMisses
-			a.Replays14 += pc.ConstMisses
-			a.Events.InstIssued += pc.ConstMisses
-			a.Events.LdstIssued += pc.ConstMisses
-			a.Events.IssueSlots += pc.ConstMisses
-			a.Events.ReplayConstMiss += pc.ConstMisses
-		}
-		a.Events.ConstMisses += pc.ConstMisses
-		a.Events.TexMisses += pc.TexMisses
-		a.Events.L2Transactions += pc.L2Accesses
-		a.Events.L2Misses += pc.L2Misses
-
 		replays := int64(c.staticReplays[r.ordinal]) + pc.ConstMisses
 		proxyNS += float64(1+replays) * slotNS
 
@@ -734,8 +669,8 @@ func (p *program) mergeExact(pl *placement.Placement, contribs []*contribution, 
 func (p *program) mergeFast(pl *placement.Placement, contribs []*contribution, constSim, texSim *groupSim, scr *mergeScratch) *Analysis {
 	a := p.analysisHeader(contribs)
 
-	// Cache-dependent event counters, summed up front: integer totals don't
-	// depend on interleaving order.
+	// Cache-dependent event counters, summed up front and counted once:
+	// integer totals don't depend on interleaving order.
 	var constMisses, texMisses, l2Acc, l2Miss int64
 	for _, c := range contribs {
 		if c != nil && c.space.Base() == gpu.Global {
@@ -753,18 +688,8 @@ func (p *program) mergeFast(pl *placement.Placement, contribs []*contribution, c
 		l2Acc += texSim.misses
 		l2Miss += texSim.l2Miss
 	}
-	if constMisses > 0 {
-		a.IssueSlots += constMisses
-		a.Replays14 += constMisses
-		a.Events.InstIssued += constMisses
-		a.Events.LdstIssued += constMisses
-		a.Events.IssueSlots += constMisses
-		a.Events.ReplayConstMiss += constMisses
-	}
-	a.Events.ConstMisses += constMisses
-	a.Events.TexMisses += texMisses
-	a.Events.L2Transactions += l2Acc
-	a.Events.L2Misses += l2Miss
+	memsys.ProbeCounts{ConstMisses: constMisses, TexMisses: texMisses,
+		L2Accesses: l2Acc, L2Misses: l2Miss}.CountEvents(&a.Events)
 
 	slotNS := p.slotNS
 	proxyNS := 0.0

@@ -15,8 +15,6 @@ import (
 // without a trace walk.
 func synthetic(mod func(*Analysis)) *Analysis {
 	a := &Analysis{
-		IssueSlots:      10000,
-		Executed:        10000,
 		MemInsts:        1000,
 		OffchipReqs:     1000,
 		TransPerOffchip: 1,
@@ -24,6 +22,8 @@ func synthetic(mod func(*Analysis)) *Analysis {
 		ActiveSMs:       13,
 		Imbalance:       1,
 	}
+	a.Events.IssueSlots = 10000
+	a.Events.InstExecuted = 10000
 	a.Events.WarpsPerSM = 32
 	a.Events.L2Misses = 500
 	a.Events.GlobalRequests = 1000
@@ -41,7 +41,7 @@ func TestTcompIssueBoundWhenSaturated(t *testing.T) {
 	prof := &SampleProfile{}
 	got := m.tcomp(a, a, prof)
 	// 32 warps/SM saturate ITILP → throughput 1 cycle/inst → issue bound.
-	want := float64(a.Executed) / 13
+	want := float64(a.Events.InstExecuted) / 13
 	if math.Abs(got-want) > 1 {
 		t.Errorf("tcomp = %g, want ≈ %g", got, want)
 	}
@@ -54,7 +54,7 @@ func TestTcompStallBoundAtLowOccupancy(t *testing.T) {
 	prof := &SampleProfile{}
 	got := m.tcomp(a, a, prof)
 	// ITILP = 2.5×2 = 5 → throughput 18/5 = 3.6 cycles per instruction.
-	want := float64(a.Executed) * (cfg.AvgInstLatency / (warpILP * 2)) / 13
+	want := float64(a.Events.InstExecuted) * (cfg.AvgInstLatency / (warpILP * 2)) / 13
 	if math.Abs(got-want) > 1 {
 		t.Errorf("tcomp = %g, want ≈ %g", got, want)
 	}
@@ -65,9 +65,9 @@ func TestTcompReplaysAddSlotsNotStalls(t *testing.T) {
 	m := NewModel(cfg, FullOptions())
 	base := synthetic(nil)
 	prof := &SampleProfile{}
-	prof.Events.InstExecuted = base.Executed
+	prof.Events.InstExecuted = base.Events.InstExecuted
 
-	withReplays := synthetic(func(a *Analysis) { a.Replays14 = 5000 })
+	withReplays := synthetic(func(a *Analysis) { a.Events.ReplayGlobalDiv = 5000 })
 	t0 := m.tcomp(base, base, prof)
 	t1 := m.tcomp(withReplays, base, prof)
 	// Eq 3 with a zero-replay sample: the target's replays add one slot
@@ -81,13 +81,13 @@ func TestTcompReplaysAddSlotsNotStalls(t *testing.T) {
 func TestTcompEq3UsesSampleMeasuredReplays(t *testing.T) {
 	cfg := gpu.KeplerK80()
 	m := NewModel(cfg, FullOptions())
-	a := synthetic(func(a *Analysis) { a.Replays14 = 100 })
+	a := synthetic(func(a *Analysis) { a.Events.ReplayGlobalDiv = 100 })
 	// The sample measured 1000 replays total; the model attributes 100 of
 	// them to placement-dependent causes; a target with 100 such replays
 	// must therefore inherit 1000 total.
 	prof := &SampleProfile{}
 	prof.Events.ReplayGlobalDiv = 1000
-	sampleAn := synthetic(func(s *Analysis) { s.Replays14 = 100 })
+	sampleAn := synthetic(func(s *Analysis) { s.Events.ReplayGlobalDiv = 100 })
 	t1 := m.tcomp(a, sampleAn, prof)
 
 	// With a zero-replay sample profile, Eq 3 gives 0−100+100 = 0 replays;
@@ -218,7 +218,6 @@ func TestExplainMentionsComponents(t *testing.T) {
 		TimeNS: 1234, Cycles: 1000, TComp: 600, TMem: 500, TOverlap: 100,
 		AMAT: 42, DRAMLatNS: 500, QueueDelayNS: 100,
 		Analysis: synthetic(func(a *Analysis) {
-			a.Replays14 = 10
 			a.Events.ReplayShared = 10
 			a.RowCounts = dram.OutcomeCounts{Hits: 8, Misses: 1, Conflicts: 1}
 		}),

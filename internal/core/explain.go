@@ -29,9 +29,9 @@ func (p *Prediction) Explain(nsPerCycle float64) string {
 
 	an := p.Analysis
 	if an != nil {
-		fmt.Fprintf(&b, "instructions: %d executed", an.Executed)
-		if an.Replays14 > 0 {
-			fmt.Fprintf(&b, " + %d replays", an.Replays14)
+		fmt.Fprintf(&b, "instructions: %d executed", an.Events.InstExecuted)
+		if replays := an.Events.TotalReplays(); replays > 0 {
+			fmt.Fprintf(&b, " + %d replays", replays)
 			var parts []string
 			for r, n := range map[string]int64{
 				"global divergence":   an.Events.ReplayGlobalDiv,

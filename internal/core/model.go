@@ -5,7 +5,6 @@ import (
 	"math"
 	"sync"
 
-	"gpuhms/internal/addrmode"
 	"gpuhms/internal/dram"
 	"gpuhms/internal/gpu"
 	"gpuhms/internal/hmserr"
@@ -16,10 +15,6 @@ import (
 	"gpuhms/internal/queuing"
 	"gpuhms/internal/trace"
 )
-
-func addrModeInstrs(space gpu.MemSpace, dt trace.DType) int {
-	return addrmode.InstrPerAccess(space, dt)
-}
 
 // Options selects the model variant. The zero value is the "baseline" of
 // §V-B: no detailed instruction counting, constant DRAM latency, even

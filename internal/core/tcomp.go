@@ -55,9 +55,9 @@ func (m *Model) tcomp(an, sampleAn *Analysis, prof *SampleProfile) float64 {
 		// Eq 3: start from the sample's *measured* replays (all ten causes),
 		// remove the model's estimate of the sample's placement-dependent
 		// replays, add the target's.
-		executed = float64(an.Executed)
+		executed = float64(an.Events.InstExecuted)
 		replays = float64(prof.Events.TotalReplays()) -
-			float64(sampleAn.Replays14) + float64(an.Replays14)
+			float64(sampleAn.Events.TotalReplays()) + float64(an.Events.TotalReplays())
 		if replays < 0 {
 			replays = 0
 		}

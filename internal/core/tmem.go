@@ -110,7 +110,7 @@ func (m *Model) mwpCwp(an *Analysis, amat float64) (mwp, cwp float64) {
 
 	compPerMem := 1.0
 	if an.MemInsts > 0 {
-		c := float64(an.IssueSlots-an.MemInsts-an.Replays14) / float64(an.MemInsts)
+		c := float64(an.Events.IssueSlots-an.MemInsts-an.Events.TotalReplays()) / float64(an.MemInsts)
 		if c > compPerMem {
 			compPerMem = c
 		}

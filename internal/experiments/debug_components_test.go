@@ -43,6 +43,6 @@ func TestDebugComponents(t *testing.T) {
 		t.Logf("%-14s meas=%8.0f pred=%8.0f (%.2fx) Tc=%7.0f Tm=%7.0f To=%7.0f AMAT=%5.0f dram=%5.0f q=%4.0f exec=%d rep=%d mem=%d mlp=%.1f feats=%v",
 			cs.Label, meas.TimeNS, pred.TimeNS, pred.TimeNS/meas.TimeNS,
 			pred.TComp, pred.TMem, pred.TOverlap, pred.AMAT, pred.DRAMLatNS, pred.QueueDelayNS,
-			an.Executed, an.Replays14, an.MemInsts, an.MLP, pred.Events.OverlapFeatures())
+			an.Events.InstExecuted, an.Events.TotalReplays(), an.MemInsts, an.MLP, pred.Events.OverlapFeatures())
 	}
 }

@@ -26,7 +26,7 @@ type Entry struct {
 
 var (
 	regMu    sync.RWMutex
-	registry = map[string]Entry{} // canonical name -> entry
+	registry = map[string]Entry{}  // canonical name -> entry
 	aliases  = map[string]string{} // normalized alias -> canonical name
 )
 

@@ -20,7 +20,7 @@ func TestAtomicConflictSerialization(t *testing.T) {
 		b, _ := bind(cfg, tr, "")
 		h := NewHierarchy(cfg)
 		sm := NewSMCaches(cfg)
-		res := h.Access(sm, b, &tr.Warps[0].Inst[0], nil)
+		res := access(h, sm, b, &tr.Warps[0].Inst[0])
 		if got := res.Replays.ByReason[replay.AtomicConflict]; got != 31 {
 			t.Errorf("fully-contended atomic replays = %d, want 31", got)
 		}
@@ -41,7 +41,7 @@ func TestAtomicConflictSerialization(t *testing.T) {
 		b, _ := bind(cfg, tr, "")
 		h := NewHierarchy(cfg)
 		sm := NewSMCaches(cfg)
-		res := h.Access(sm, b, &tr.Warps[0].Inst[0], nil)
+		res := access(h, sm, b, &tr.Warps[0].Inst[0])
 		if got := res.Replays.ByReason[replay.AtomicConflict]; got != 0 {
 			t.Errorf("conflict-free atomic replays = %d", got)
 		}
@@ -59,7 +59,7 @@ func TestAtomicConflictSerialization(t *testing.T) {
 		b, _ := bind(cfg, tr, "bins:S")
 		h := NewHierarchy(cfg)
 		sm := NewSMCaches(cfg)
-		res := h.Access(sm, b, &tr.Warps[0].Inst[0], nil)
+		res := access(h, sm, b, &tr.Warps[0].Inst[0])
 		// 16 lanes per address → 15 atomic-conflict replays; the two words
 		// share a bank → 1 bank-conflict replay.
 		if got := res.Replays.ByReason[replay.AtomicConflict]; got != 15 {

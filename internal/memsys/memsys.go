@@ -1,15 +1,25 @@
 // Package memsys resolves warp-level memory instructions against the HMS
 // memory hierarchy: per-lane element indices become device or shared-memory
 // addresses under a placement, coalesce into transactions, probe the
-// appropriate caches, and finally yield the DRAM request stream. The same
-// resolution drives both the analytical models (internal/core) and the
-// ground-truth timing simulator (internal/sim), so the two disagree only
-// about *timing*, never about which memory events occur.
+// appropriate caches, and finally yield the DRAM request stream.
+//
+// It is also the one place that maps those outcomes onto perf.Events, the
+// nvprof vocabulary of the paper's Table I: Resolved.CountEvents counts the
+// cache-independent half of an access, ProbeCounts.CountEvents the
+// cache-dependent half, CountRowEvents the DRAM row-buffer outcomes, and
+// ResidentWarps gives the occupancy. The analytical models (internal/core)
+// and the ground-truth timing simulator (internal/sim) both resolve and
+// count through these functions, so where their counters differ they differ
+// about cache or DRAM state (the models replay each per-SM cache space
+// through one lockstep cache; the simulator keeps one per SM and times the
+// DRAM), never about which counter an outcome increments.
 package memsys
 
 import (
 	"gpuhms/internal/cache"
+	"gpuhms/internal/dram"
 	"gpuhms/internal/gpu"
+	"gpuhms/internal/perf"
 	"gpuhms/internal/placement"
 	"gpuhms/internal/replay"
 	"gpuhms/internal/sharedmem"
@@ -124,83 +134,14 @@ func (b *Binding) Addresses(in *trace.Inst, buf []uint64) []uint64 {
 	return out
 }
 
-// Result describes the memory-system consequences of one warp-level memory
-// instruction.
-type Result struct {
-	Space gpu.MemSpace
-	Store bool
-
-	// Transactions is the number of first-level accesses the warp access
-	// coalesced into (L2 transactions for global, texture-cache lines for
-	// texture, constant words for constant, 1 for shared).
-	Transactions int
-
-	// Replays are the placement-dependent instruction replays (§III-B
-	// causes (1)–(4)) triggered by this access.
-	Replays replay.Breakdown
-
-	// Cache events.
-	L2Accesses, L2Misses     int
-	ConstAccesses, ConstMiss int
-	TexAccesses, TexMiss     int
-	SharedConflicts          int
-
-	// DRAMLines holds the line base addresses that missed all caches and
-	// must be serviced by the DRAM system.
-	DRAMLines []uint64
-}
-
-// Scratch holds the reusable per-caller buffers of AccessScratch: resolved
-// addresses, coalesced line sets, and the DRAM miss list. One Scratch serves
-// one caller's whole replay loop; the zero value is ready to use and the
-// buffers grow to the high-water mark of the trace.
+// Scratch holds the reusable per-caller buffers of ResolveScratch: resolved
+// addresses and coalesced line sets. One Scratch serves one caller's whole
+// replay loop; the zero value is ready to use and the buffers grow to the
+// high-water mark of the trace.
 type Scratch struct {
 	addrs []uint64
 	lines []uint64
 	words []uint64
-	dram  []uint64
-}
-
-// Access resolves one memory instruction through the hierarchy, updating
-// cache state, and reports all events. sm supplies the issuing SM's private
-// caches; addrBuf is an optional reusable address buffer. The returned
-// Result owns its DRAMLines. Hot loops that can tolerate a borrowed
-// DRAMLines slice should use AccessScratch instead.
-func (h *Hierarchy) Access(sm *SMCaches, b *Binding, in *trace.Inst, addrBuf []uint64) Result {
-	sc := Scratch{addrs: addrBuf}
-	return h.AccessScratch(sm, b, in, &sc)
-}
-
-// AccessScratch is Access with every intermediate buffer drawn from sc,
-// making the per-instruction replay loop allocation-free once the buffers
-// have grown. It is ResolveScratch followed by ProbeLines, so the simulator
-// and the models share one resolution kernel. The returned Result's
-// DRAMLines aliases sc's storage: consume it before the next AccessScratch
-// call on the same Scratch.
-func (h *Hierarchy) AccessScratch(sm *SMCaches, b *Binding, in *trace.Inst, sc *Scratch) Result {
-	r := h.ResolveScratch(b, in, sc)
-	res := Result{
-		Space:           r.Space,
-		Store:           in.Op != trace.OpLoad,
-		Transactions:    r.Transactions,
-		Replays:         r.Replays,
-		SharedConflicts: r.SharedConflicts,
-	}
-	pc, dram := h.ProbeLines(sm, r.Space, r.Lines, sc.dram[:0])
-	sc.dram = dram
-	switch r.Space.Base() {
-	case gpu.Constant:
-		res.ConstAccesses = len(r.Lines)
-		res.ConstMiss = int(pc.ConstMisses)
-		res.Replays.Add(replay.ConstantMiss, pc.ConstMisses)
-	case gpu.Texture1D, gpu.Texture2D:
-		res.TexAccesses = len(r.Lines)
-		res.TexMiss = int(pc.TexMisses)
-	}
-	res.L2Accesses = int(pc.L2Accesses)
-	res.L2Misses = int(pc.L2Misses)
-	res.DRAMLines = dram
-	return res
 }
 
 // Reset clears all cache state in the hierarchy (not the per-SM caches).
@@ -212,13 +153,14 @@ func (h *Hierarchy) Reset() { h.L2.Reset() }
 // atomic serialization). It is a pure function of (instruction, space,
 // address binding) — no cache state is read or written — so it can be
 // computed once per binding and reused, with ProbeLines supplying the
-// cache-dependent half per evaluation. AccessScratch is exactly
-// ResolveScratch followed by ProbeLines on the same access.
+// cache-dependent half per evaluation. CountEvents maps it onto perf.Events.
 type Resolved struct {
 	Space gpu.MemSpace
 
 	// Transactions is the number of first-level accesses the warp access
-	// coalesced into, exactly as in Result.
+	// coalesced into: L2 transactions for global, constant words for
+	// constant, texture-cache lines for texture, 1 for shared memory or a
+	// warp with no active lane.
 	Transactions int
 
 	// Replays holds the cache-independent replay causes only: global and
@@ -239,7 +181,7 @@ type Resolved struct {
 // ResolveScratch computes the cache-independent resolution of one memory
 // instruction: addresses, coalescing, and static replays, with the
 // first-level line stream left unprobed. It reads no cache state, so it is
-// safe to call concurrently on a shared Hierarchy (unlike AccessScratch).
+// safe to call concurrently on a shared Hierarchy (unlike ProbeLines).
 func (h *Hierarchy) ResolveScratch(b *Binding, in *trace.Inst, sc *Scratch) Resolved {
 	sp := b.Place.Of(in.Array)
 	res := Resolved{Space: sp}
@@ -292,6 +234,40 @@ func (h *Hierarchy) ResolveScratch(b *Binding, in *trace.Inst, sc *Scratch) Reso
 	return res
 }
 
+// CountEvents adds the cache-independent events of one warp-level memory
+// instruction to ev: its addressing-mode preamble of preamble integer
+// instructions (§III-B), the instruction itself with its static replays
+// (issue slots, issued and load/store instructions), its warp-level request
+// by space, its first-level constant- or texture-cache accesses, and its
+// shared bank conflicts. ProbeCounts.CountEvents adds the cache-dependent
+// rest; together they are the one mapping from an access to perf.Events that
+// the simulator and the models share.
+func (r *Resolved) CountEvents(ev *perf.Events, preamble int64) {
+	static := r.Replays.Total()
+	ev.InstExecuted += preamble + 1
+	ev.InstInteger += preamble
+	ev.InstIssued += preamble + 1 + static
+	ev.IssueSlots += preamble + 1 + static
+	ev.LdstIssued += 1 + static
+	switch r.Space.Base() {
+	case gpu.Global:
+		ev.GlobalRequests++
+	case gpu.Constant:
+		ev.ConstantRequest++
+		ev.ConstAccesses += int64(len(r.Lines))
+	case gpu.Texture1D, gpu.Texture2D:
+		ev.TextureRequests++
+		ev.TexAccesses += int64(len(r.Lines))
+	case gpu.Shared:
+		ev.SharedRequests++
+	}
+	ev.ReplayGlobalDiv += r.Replays.ByReason[replay.GlobalDivergence]
+	ev.ReplayConstDiv += r.Replays.ByReason[replay.ConstantDivergence]
+	ev.ReplayShared += r.Replays.ByReason[replay.SharedBankConflict]
+	ev.ReplayAtomic += r.Replays.ByReason[replay.AtomicConflict]
+	ev.SharedBankConflicts += int64(r.SharedConflicts)
+}
+
 // ProbeCounts are the cache-dependent outcomes of replaying one access's
 // first-level lines through the shared caches.
 type ProbeCounts struct {
@@ -305,8 +281,7 @@ type ProbeCounts struct {
 
 // ProbeLines is the cache-dependent half of an access: it replays one
 // access's first-level lines (Resolved.Lines) through the shared caches in
-// line order, updating their state exactly as AccessScratch would, and
-// appends the lines that miss everything — the DRAM requests — to dram.
+// line order, updating their state, and appends the lines that miss everything — the DRAM requests — to dram.
 // Shared-memory accesses have no lines and probe nothing. Because the caches
 // are shared, the outcome depends on every access probed before this one:
 // this is the cross-array cache interaction (one array evicting another's
@@ -346,4 +321,40 @@ func (h *Hierarchy) ProbeLines(sm *SMCaches, sp gpu.MemSpace, lines []uint64, dr
 		}
 	}
 	return pc, dram
+}
+
+// CountEvents adds the cache-dependent events of one or more accesses'
+// probes to ev: L2 transactions and misses, constant- and texture-cache
+// misses, and the constant-miss replays (§III-B cause (2)), each of which
+// also takes an issue slot and re-issues the load/store. Probe counts sum, so
+// counting a sum equals counting its parts.
+func (pc ProbeCounts) CountEvents(ev *perf.Events) {
+	ev.InstIssued += pc.ConstMisses
+	ev.IssueSlots += pc.ConstMisses
+	ev.LdstIssued += pc.ConstMisses
+	ev.ReplayConstMiss += pc.ConstMisses
+	ev.ConstMisses += pc.ConstMisses
+	ev.TexMisses += pc.TexMisses
+	ev.L2Transactions += pc.L2Accesses
+	ev.L2Misses += pc.L2Misses
+}
+
+// CountRowEvents adds a DRAM request stream's row-buffer outcomes to ev: one
+// DRAM request per classified access.
+func CountRowEvents(ev *perf.Events, c dram.OutcomeCounts) {
+	ev.RowHits += c.Hits
+	ev.RowMisses += c.Misses
+	ev.RowConflicts += c.Conflicts
+	ev.DRAMRequests += c.Total()
+}
+
+// ResidentWarps returns the average resident warps per active SM of a
+// launch, capped at the SM's warp limit: the occupancy (perf.Events
+// WarpsPerSM) that the simulator reports and the models assume.
+func ResidentWarps(t *trace.Trace, cfg *gpu.Config) float64 {
+	per := float64(t.Launch.TotalWarps()) / float64(cfg.ActiveSMs(t.Launch.Blocks))
+	if max := float64(cfg.MaxWarpsPerSM); per > max {
+		return max
+	}
+	return per
 }

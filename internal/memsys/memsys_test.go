@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"gpuhms/internal/gpu"
+	"gpuhms/internal/perf"
 	"gpuhms/internal/placement"
 	"gpuhms/internal/replay"
 	"gpuhms/internal/trace"
@@ -29,6 +30,52 @@ func bind(cfg *gpu.Config, tr *trace.Trace, spec string) (*Binding, error) {
 	return NewBinding(cfg, tr, sample, layout, target), nil
 }
 
+// accessResult is one warp access's memory-system outcome as the tests
+// below assert it: the resolution, the events the access adds to
+// perf.Events, and the DRAM lines its probe forwards.
+type accessResult struct {
+	Space                    gpu.MemSpace
+	Store                    bool
+	Transactions             int
+	Replays                  replay.Breakdown
+	L2Accesses, L2Misses     int
+	ConstAccesses, ConstMiss int
+	TexAccesses, TexMiss     int
+	SharedConflicts          int
+	DRAMLines                []uint64
+}
+
+// access resolves one instruction, probes its lines through the hierarchy's
+// caches, and reads the outcome back from the events the two counting
+// halves add.
+func access(h *Hierarchy, sm *SMCaches, b *Binding, in *trace.Inst) accessResult {
+	var sc Scratch
+	r := h.ResolveScratch(b, in, &sc)
+	pc, dram := h.ProbeLines(sm, r.Space, r.Lines, nil)
+	var ev perf.Events
+	r.CountEvents(&ev, 0)
+	pc.CountEvents(&ev)
+	res := accessResult{
+		Space:           r.Space,
+		Store:           in.Op != trace.OpLoad,
+		Transactions:    r.Transactions,
+		L2Accesses:      int(ev.L2Transactions),
+		L2Misses:        int(ev.L2Misses),
+		ConstAccesses:   int(ev.ConstAccesses),
+		ConstMiss:       int(ev.ConstMisses),
+		TexAccesses:     int(ev.TexAccesses),
+		TexMiss:         int(ev.TexMisses),
+		SharedConflicts: int(ev.SharedBankConflicts),
+		DRAMLines:       dram,
+	}
+	res.Replays.Add(replay.GlobalDivergence, ev.ReplayGlobalDiv)
+	res.Replays.Add(replay.ConstantMiss, ev.ReplayConstMiss)
+	res.Replays.Add(replay.ConstantDivergence, ev.ReplayConstDiv)
+	res.Replays.Add(replay.SharedBankConflict, ev.ReplayShared)
+	res.Replays.Add(replay.AtomicConflict, ev.ReplayAtomic)
+	return res
+}
+
 func TestGlobalCoalescedAccess(t *testing.T) {
 	cfg := gpu.KeplerK80()
 	tr := buildKernel(t, trace.Array{Name: "a", Type: trace.F32, Len: 4096, ReadOnly: true},
@@ -39,7 +86,7 @@ func TestGlobalCoalescedAccess(t *testing.T) {
 	}
 	h := NewHierarchy(cfg)
 	sm := NewSMCaches(cfg)
-	res := h.Access(sm, b, &tr.Warps[0].Inst[0], nil)
+	res := access(h, sm, b, &tr.Warps[0].Inst[0])
 
 	if res.Space != gpu.Global || res.Store {
 		t.Errorf("space/store: %v %v", res.Space, res.Store)
@@ -67,7 +114,7 @@ func TestGlobalDivergentAccess(t *testing.T) {
 	b, _ := bind(cfg, tr, "")
 	h := NewHierarchy(cfg)
 	sm := NewSMCaches(cfg)
-	res := h.Access(sm, b, &tr.Warps[0].Inst[0], nil)
+	res := access(h, sm, b, &tr.Warps[0].Inst[0])
 	if res.Transactions != 32 {
 		t.Errorf("transactions = %d", res.Transactions)
 	}
@@ -87,7 +134,7 @@ func TestConstantBroadcastVsDivergent(t *testing.T) {
 	h := NewHierarchy(cfg)
 	sm := NewSMCaches(cfg)
 
-	bc := h.Access(sm, b, &tr.Warps[0].Inst[0], nil)
+	bc := access(h, sm, b, &tr.Warps[0].Inst[0])
 	if bc.Replays.ByReason[replay.ConstantDivergence] != 0 {
 		t.Errorf("broadcast divergence replays = %d", bc.Replays.ByReason[replay.ConstantDivergence])
 	}
@@ -98,7 +145,7 @@ func TestConstantBroadcastVsDivergent(t *testing.T) {
 		t.Error("each constant-cache miss is one replay (cause 2)")
 	}
 
-	dv := h.Access(sm, b, &tr.Warps[0].Inst[1], nil)
+	dv := access(h, sm, b, &tr.Warps[0].Inst[1])
 	if got := dv.Replays.ByReason[replay.ConstantDivergence]; got != 31 {
 		t.Errorf("divergent constant replays = %d", got)
 	}
@@ -113,7 +160,7 @@ func TestSharedConflicts(t *testing.T) {
 	b, _ := bind(cfg, tr, "s:S")
 	h := NewHierarchy(cfg)
 	sm := NewSMCaches(cfg)
-	res := h.Access(sm, b, &tr.Warps[0].Inst[0], nil)
+	res := access(h, sm, b, &tr.Warps[0].Inst[0])
 	if res.Space != gpu.Shared {
 		t.Fatalf("space = %v", res.Space)
 	}
@@ -137,11 +184,11 @@ func TestTextureCachePath(t *testing.T) {
 	b, _ := bind(cfg, tr, "x:T")
 	h := NewHierarchy(cfg)
 	sm := NewSMCaches(cfg)
-	first := h.Access(sm, b, &tr.Warps[0].Inst[0], nil)
+	first := access(h, sm, b, &tr.Warps[0].Inst[0])
 	if first.TexAccesses != 1 || first.TexMiss != 1 || first.L2Accesses != 1 {
 		t.Errorf("cold texture: %+v", first)
 	}
-	second := h.Access(sm, b, &tr.Warps[0].Inst[1], nil)
+	second := access(h, sm, b, &tr.Warps[0].Inst[1])
 	if second.TexMiss != 0 || second.L2Accesses != 0 || len(second.DRAMLines) != 0 {
 		t.Errorf("warm texture should stay in the tex cache: %+v", second)
 	}
@@ -161,9 +208,9 @@ func TestTexture2DSwizzleChangesLines(t *testing.T) {
 	sm := NewSMCaches(cfg)
 
 	b1, _ := bind(cfg, tr, "m:T")
-	lin := h.Access(sm, b1, &tr.Warps[0].Inst[0], nil)
+	lin := access(h, sm, b1, &tr.Warps[0].Inst[0])
 	b2, _ := bind(cfg, tr, "m:2T")
-	sw := h.Access(sm, b2, &tr.Warps[0].Inst[1], nil)
+	sw := access(h, sm, b2, &tr.Warps[0].Inst[1])
 	if sw.Transactions >= lin.Transactions {
 		t.Errorf("2D swizzle should reduce column-access lines: %d vs %d",
 			sw.Transactions, lin.Transactions)
@@ -187,13 +234,13 @@ func TestL2SharedAcrossSpaces(t *testing.T) {
 	h := NewHierarchy(cfg)
 	sm := NewSMCaches(cfg)
 	bG := NewBinding(cfg, tr, sample, layout, sample)
-	h.Access(sm, bG, &tr.Warps[0].Inst[0], nil)
+	access(h, sm, bG, &tr.Warps[0].Inst[0])
 
 	// Second access via texture (same addresses: off-chip → off-chip keeps
 	// the address, §III-E): tex misses but L2 hits → no DRAM.
 	target, _ := placement.Parse(tr, "g:T")
 	bT := NewBinding(cfg, tr, sample, layout, target)
-	res := h.Access(sm, bT, &tr.Warps[0].Inst[1], nil)
+	res := access(h, sm, bT, &tr.Warps[0].Inst[1])
 	if res.TexMiss != 1 {
 		t.Errorf("tex miss = %d", res.TexMiss)
 	}
@@ -215,7 +262,7 @@ func TestInactiveLanesProduceNoAddresses(t *testing.T) {
 	b, _ := bind(cfg, tr, "")
 	h := NewHierarchy(cfg)
 	sm := NewSMCaches(cfg)
-	res := h.Access(sm, b, &tr.Warps[0].Inst[0], nil)
+	res := access(h, sm, b, &tr.Warps[0].Inst[0])
 	if res.Transactions != 1 || res.L2Accesses != 0 {
 		t.Errorf("fully-masked access: %+v", res)
 	}
@@ -228,7 +275,7 @@ func TestHierarchyReset(t *testing.T) {
 		func(w *trace.WarpBuilder, id trace.ArrayID) { w.LoadCoalesced(id, 0, 32) })
 	b, _ := bind(cfg, tr, "")
 	sm := NewSMCaches(cfg)
-	h.Access(sm, b, &tr.Warps[0].Inst[0], nil)
+	access(h, sm, b, &tr.Warps[0].Inst[0])
 	if h.L2.Misses() != 1 {
 		t.Fatalf("L2 misses = %d", h.L2.Misses())
 	}

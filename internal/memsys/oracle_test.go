@@ -5,8 +5,10 @@ import (
 	"slices"
 	"testing"
 
+	"gpuhms/internal/addrmode"
 	"gpuhms/internal/cache"
 	"gpuhms/internal/gpu"
+	"gpuhms/internal/perf"
 	"gpuhms/internal/placement"
 	"gpuhms/internal/replay"
 	"gpuhms/internal/sharedmem"
@@ -161,55 +163,75 @@ func refResolve(h *Hierarchy, b *Binding, in *trace.Inst) Resolved {
 	return res
 }
 
-// refAccess is AccessScratch built from the reference pieces: the
-// resolution above, then each line probed through the caches in order.
-func refAccess(h *Hierarchy, sm *SMCaches, b *Binding, in *trace.Inst) Result {
+// refAccess is one access's events and DRAM lines built from the reference
+// pieces without the shared counters: the resolution above, each line probed
+// through the caches in order, and every perf.Events counter written out
+// here, so the oracle never checks CountEvents against itself.
+func refAccess(h *Hierarchy, sm *SMCaches, b *Binding, in *trace.Inst) (perf.Events, []uint64) {
 	r := refResolve(h, b, in)
-	res := Result{
-		Space:           r.Space,
-		Store:           in.Op != trace.OpLoad,
-		Transactions:    r.Transactions,
-		Replays:         r.Replays,
-		SharedConflicts: r.SharedConflicts,
-	}
+	var ev perf.Events
+	var dram []uint64
+	issued := 1 + r.Replays.Total() // the instruction and its static replays
 	l2 := func(ln uint64) {
-		res.L2Accesses++
+		ev.L2Transactions++
 		if !h.L2.Access(ln) {
-			res.L2Misses++
-			res.DRAMLines = append(res.DRAMLines, ln)
+			ev.L2Misses++
+			dram = append(dram, ln)
 		}
 	}
-	for _, ln := range r.Lines {
-		switch r.Space.Base() {
-		case gpu.Global:
+	switch r.Space.Base() {
+	case gpu.Global:
+		ev.GlobalRequests++
+		for _, ln := range r.Lines {
 			l2(ln)
-		case gpu.Constant:
-			res.ConstAccesses++
+		}
+	case gpu.Constant:
+		ev.ConstantRequest++
+		for _, ln := range r.Lines {
+			ev.ConstAccesses++
 			if !sm.Const.Access(ln) {
-				res.ConstMiss++
-				res.Replays.Add(replay.ConstantMiss, 1)
-				l2(ln)
-			}
-		case gpu.Texture1D, gpu.Texture2D:
-			res.TexAccesses++
-			if !sm.Tex.Access(ln) {
-				res.TexMiss++
+				ev.ConstMisses++
+				ev.ReplayConstMiss++
+				issued++
 				l2(ln)
 			}
 		}
+	case gpu.Texture1D, gpu.Texture2D:
+		ev.TextureRequests++
+		for _, ln := range r.Lines {
+			ev.TexAccesses++
+			if !sm.Tex.Access(ln) {
+				ev.TexMisses++
+				l2(ln)
+			}
+		}
+	case gpu.Shared:
+		ev.SharedRequests++
 	}
-	return res
+	ev.ReplayGlobalDiv = r.Replays.ByReason[replay.GlobalDivergence]
+	ev.ReplayConstDiv = r.Replays.ByReason[replay.ConstantDivergence]
+	ev.ReplayShared = r.Replays.ByReason[replay.SharedBankConflict]
+	ev.ReplayAtomic = r.Replays.ByReason[replay.AtomicConflict]
+	ev.SharedBankConflicts = int64(r.SharedConflicts)
+
+	// The addressing-mode preamble: k integer instructions before the access.
+	k := int64(addrmode.InstrPerAccess(r.Space, b.Trace.Array(in.Array).Type))
+	ev.InstExecuted = k + 1
+	ev.InstInteger = k
+	ev.InstIssued = k + issued
+	ev.IssueSlots = k + issued
+	ev.LdstIssued = issued
+	return ev, dram
 }
 
-// sameResult compares two Results field by field, DRAM lines by content.
-func sameResult(a, b Result) bool {
-	dramA, dramB := a.DRAMLines, b.DRAMLines
-	a.DRAMLines, b.DRAMLines = nil, nil
-	return a.Space == b.Space && a.Store == b.Store && a.Transactions == b.Transactions &&
-		a.Replays == b.Replays && a.L2Accesses == b.L2Accesses && a.L2Misses == b.L2Misses &&
-		a.ConstAccesses == b.ConstAccesses && a.ConstMiss == b.ConstMiss &&
-		a.TexAccesses == b.TexAccesses && a.TexMiss == b.TexMiss &&
-		a.SharedConflicts == b.SharedConflicts && slices.Equal(dramA, dramB)
+// countAccess resolves one instruction with the optimized kernel, probes its
+// lines into dram, and counts it through the shared counters.
+func countAccess(h *Hierarchy, sm *SMCaches, b *Binding, in *trace.Inst, sc *Scratch, dram []uint64, ev *perf.Events) []uint64 {
+	r := h.ResolveScratch(b, in, sc)
+	pc, dram := h.ProbeLines(sm, r.Space, r.Lines, dram[:0])
+	r.CountEvents(ev, int64(addrmode.InstrPerAccess(r.Space, b.Trace.Array(in.Array).Type)))
+	pc.CountEvents(ev)
+	return dram
 }
 
 // oracleLanes draws one warp's lane indices into [0, n): pattern selects
@@ -288,8 +310,10 @@ func oracleTrace(t *testing.T, seed int64, elem trace.DType, pattern int) *trace
 // hoisted addressing, masked coalescing, sort-based bank and atomic counts —
 // to the reference per-lane implementation: on every registered arch and
 // every memory space (remote spaces and 2D textures included), ResolveScratch
-// and AccessScratch must return exactly what the reference returns, with the
-// caches evolving identically across a sequence of accesses.
+// must return exactly what the reference returns, and ResolveScratch +
+// ProbeLines + the shared counters must add exactly the events and DRAM
+// lines the hand-counted reference does, with the caches evolving
+// identically across a sequence of accesses.
 func FuzzResolveMatchesReference(f *testing.F) {
 	for arch := range gpu.Names() {
 		for elem := 0; elem < 3; elem++ {
@@ -312,6 +336,7 @@ func FuzzResolveMatchesReference(f *testing.F) {
 			h, hRef := NewHierarchy(cfg), NewHierarchy(cfg)
 			sm, smRef := NewSMCaches(cfg), NewSMCaches(cfg)
 			var sc, scAcc Scratch
+			var dram []uint64
 			for i := range tr.Warps[0].Inst {
 				in := &tr.Warps[0].Inst[i]
 				got, want := h.ResolveScratch(b, in, &sc), refResolve(hRef, b, in)
@@ -321,20 +346,22 @@ func FuzzResolveMatchesReference(f *testing.F) {
 					t.Fatalf("%s %s inst %d: ResolveScratch = %+v, reference %+v (lanes %v)",
 						cfg.Name, sp, i, got, want, in.Index)
 				}
-				gotA, wantA := h.AccessScratch(sm, b, in, &scAcc), refAccess(hRef, smRef, b, in)
-				if !sameResult(gotA, wantA) {
-					t.Fatalf("%s %s inst %d: AccessScratch = %+v, reference %+v (lanes %v)",
-						cfg.Name, sp, i, gotA, wantA, in.Index)
+				var ev perf.Events
+				dram = countAccess(h, sm, b, in, &scAcc, dram, &ev)
+				wantEv, wantDRAM := refAccess(hRef, smRef, b, in)
+				if ev != wantEv || !slices.Equal(dram, wantDRAM) {
+					t.Fatalf("%s %s inst %d: counted %+v DRAM %v, reference %+v DRAM %v (lanes %v)",
+						cfg.Name, sp, i, ev, dram, wantEv, wantDRAM, in.Index)
 				}
 			}
 		}
 	})
 }
 
-// TestResolveAllocFree pins the AccessScratch promise: once a Scratch has
-// grown, resolving a warp access allocates nothing — for global, constant,
-// both texture flavours and shared placements, and for atomics (which add
-// the same-address count on top).
+// TestResolveAllocFree pins the Scratch promise: once a Scratch and the
+// DRAM line buffer have grown, resolving, probing and counting a warp access
+// allocates nothing — for global, constant, both texture flavours and shared
+// placements, and for atomics (which add the same-address count on top).
 func TestResolveAllocFree(t *testing.T) {
 	cfg := gpu.KeplerK80()
 	launch := trace.Launch{Blocks: 4, ThreadsPerBlock: 32, WarpSize: 32}
@@ -355,14 +382,16 @@ func TestResolveAllocFree(t *testing.T) {
 		b := NewBinding(cfg, tr, sample, layout, target)
 		h, sm := NewHierarchy(cfg), NewSMCaches(cfg)
 		var sc Scratch
+		var dram []uint64
+		var ev perf.Events
 		for i := range tr.Warps[0].Inst {
 			in := &tr.Warps[0].Inst[i]
-			h.AccessScratch(sm, b, in, &sc) // grow the buffers
+			dram = countAccess(h, sm, b, in, &sc, dram, &ev) // grow the buffers
 			if n := testing.AllocsPerRun(50, func() { h.ResolveScratch(b, in, &sc) }); n != 0 {
 				t.Errorf("%s inst %d (%s): ResolveScratch allocates %.1f objects per call", sp, i, in.Op, n)
 			}
-			if n := testing.AllocsPerRun(50, func() { h.AccessScratch(sm, b, in, &sc) }); n != 0 {
-				t.Errorf("%s inst %d (%s): AccessScratch allocates %.1f objects per call", sp, i, in.Op, n)
+			if n := testing.AllocsPerRun(50, func() { dram = countAccess(h, sm, b, in, &sc, dram, &ev) }); n != 0 {
+				t.Errorf("%s inst %d (%s): resolve, probe and count allocate %.1f objects per call", sp, i, in.Op, n)
 			}
 		}
 	}

@@ -38,7 +38,8 @@ type FleetTenant struct {
 // best. Exactly one of Tenants or Mix must be given; a mix expands to its
 // bundled tenants and budget overrides at decode.
 type FleetRankRequest struct {
-	// Arch selects the modeled architecture: "k80" (default) or "fermi".
+	// Arch selects the modeled architecture: any registry name or alias
+	// (GET /v1/arches); default k80.
 	Arch string `json:"arch,omitempty"`
 	// Tenants lists the kernels to co-locate (at most MaxTenants).
 	Tenants []FleetTenant `json:"tenants,omitempty"`

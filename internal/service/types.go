@@ -11,7 +11,8 @@ package service
 // optional field means "default" (k80, scale 1, the kernel's own sample
 // placement, unbounded search).
 type RankRequest struct {
-	// Arch selects the modeled architecture: "k80" (default) or "fermi".
+	// Arch selects the modeled architecture: any registry name or alias
+	// (GET /v1/arches); default k80.
 	Arch string `json:"arch,omitempty"`
 	// Kernel is the bundled workload name (GET /v1/kernels).
 	Kernel string `json:"kernel"`

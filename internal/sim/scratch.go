@@ -25,6 +25,7 @@ type runScratch struct {
 	smResident []int
 	smFree     []float64
 	mem        memsys.Scratch
+	dram       []uint64 // one access's DRAM lines, reused across accesses
 }
 
 // scratchKey identifies the architecture a pooled scratch was built for.

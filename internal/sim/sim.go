@@ -29,7 +29,6 @@ import (
 	"gpuhms/internal/obs"
 	"gpuhms/internal/perf"
 	"gpuhms/internal/placement"
-	"gpuhms/internal/replay"
 	"gpuhms/internal/trace"
 )
 
@@ -359,32 +358,25 @@ func (s *Simulator) RunContext(ctx context.Context, t *trace.Trace, sample, targ
 		default:
 			// Memory instruction: addressing-mode preamble, then the
 			// load/store with its replays and data latency.
-			space := target.Of(in.Array)
-			k := addrmode.InstrPerAccess(space, t.Array(in.Array).Type)
+			r := hier.ResolveScratch(binding, in, &sc.mem)
+			space := r.Space
+			k := int64(addrmode.InstrPerAccess(space, t.Array(in.Array).Type))
 			if k > 0 {
 				smFree[w.sm] = st + float64(k)
 				st = smFree[w.sm]
-				ev.IssueSlots += int64(k)
-				ev.InstIssued += int64(k)
-				ev.InstExecuted += int64(k)
-				ev.InstInteger += int64(k)
 			}
 
-			res := hier.AccessScratch(smCaches[w.sm], binding, in, &sc.mem)
-			replays := res.Replays.Total()
-			slots := 1 + float64(replays)
-			issueEnd := st + slots
+			pc, dramLines := hier.ProbeLines(smCaches[w.sm], space, r.Lines, sc.dram[:0])
+			sc.dram = dramLines
+			r.CountEvents(&ev, k)
+			pc.CountEvents(&ev)
+			replays := r.Replays.Total() + pc.ConstMisses
+			issueEnd := st + (1 + float64(replays))
 			smFree[w.sm] = issueEnd
-
-			ev.IssueSlots += int64(slots)
-			ev.InstIssued += 1 + replays
-			ev.InstExecuted++
-			ev.LdstIssued += 1 + replays
-			countEvents(&ev, &res)
 
 			var done float64
 			if space == gpu.Shared {
-				done = issueEnd + s.Cfg.SharedLatency + float64(res.SharedConflicts)
+				done = issueEnd + s.Cfg.SharedLatency + float64(r.SharedConflicts)
 			} else {
 				// Cache-hit portion. Remote-placed arrays (chiplet) add one
 				// interposer crossing to every off-chip access, hit or miss.
@@ -396,7 +388,7 @@ func (s *Simulator) RunContext(ctx context.Context, t *trace.Trace, sample, targ
 				// DRAM portion: service each missing line; completion is the
 				// slowest line.
 				stNS := st * nsPerCycle
-				for _, line := range res.DRAMLines {
+				for _, line := range dramLines {
 					if s.CollectArrivals {
 						if lastArrival >= 0 {
 							gap := stNS - lastArrival
@@ -409,12 +401,11 @@ func (s *Simulator) RunContext(ctx context.Context, t *trace.Trace, sample, targ
 						}
 						lastArrival = stNS
 					}
-					r := dramSys.Service(line, stNS)
-					countRow(&ev, r.Outcome)
-					latNS := r.Latency(stNS)
+					dr := dramSys.Service(line, stNS)
+					latNS := dr.Latency(stNS)
 					if enabled {
 						rec.Observe("sim_dram_latency_ns", latNS)
-						if r.Outcome == dram.Conflict {
+						if dr.Outcome == dram.Conflict {
 							rec.Instant("sim/dram", "row_conflict", stNS)
 						}
 					}
@@ -469,8 +460,8 @@ func (s *Simulator) RunContext(ctx context.Context, t *trace.Trace, sample, targ
 	// memory; the paper estimates this from bandwidth and size.
 	stagingNS := s.stagingNS(t, sample, target)
 
-	ev.WarpsPerSM = residentWarps(t, s.Cfg)
-	ev.DRAMRequests = ev.RowHits + ev.RowMisses + ev.RowConflicts
+	ev.WarpsPerSM = memsys.ResidentWarps(t, s.Cfg)
+	memsys.CountRowEvents(&ev, dramSys.Counts())
 
 	m := &Measurement{
 		Cycles:    endTime,
@@ -551,49 +542,4 @@ func (s *Simulator) stagingNS(t *trace.Trace, sample, target *placement.Placemen
 		return 0
 	}
 	return bytes / s.Cfg.SharedCopyGBs // GB/s == bytes/ns
-}
-
-// residentWarps returns the average resident warps per active SM.
-func residentWarps(t *trace.Trace, cfg *gpu.Config) float64 {
-	per := float64(t.Launch.TotalWarps()) / float64(cfg.ActiveSMs(t.Launch.Blocks))
-	if max := float64(cfg.MaxWarpsPerSM); per > max {
-		return max
-	}
-	return per
-}
-
-func countEvents(ev *perf.Events, res *memsys.Result) {
-	switch res.Space.Base() {
-	case gpu.Global:
-		ev.GlobalRequests++
-	case gpu.Constant:
-		ev.ConstantRequest++
-	case gpu.Texture1D, gpu.Texture2D:
-		ev.TextureRequests++
-	case gpu.Shared:
-		ev.SharedRequests++
-	}
-	ev.ReplayGlobalDiv += res.Replays.ByReason[replay.GlobalDivergence]
-	ev.ReplayConstMiss += res.Replays.ByReason[replay.ConstantMiss]
-	ev.ReplayConstDiv += res.Replays.ByReason[replay.ConstantDivergence]
-	ev.ReplayShared += res.Replays.ByReason[replay.SharedBankConflict]
-	ev.ReplayAtomic += res.Replays.ByReason[replay.AtomicConflict]
-	ev.L2Transactions += int64(res.L2Accesses)
-	ev.L2Misses += int64(res.L2Misses)
-	ev.ConstAccesses += int64(res.ConstAccesses)
-	ev.ConstMisses += int64(res.ConstMiss)
-	ev.TexAccesses += int64(res.TexAccesses)
-	ev.TexMisses += int64(res.TexMiss)
-	ev.SharedBankConflicts += int64(res.SharedConflicts)
-}
-
-func countRow(ev *perf.Events, o dram.Outcome) {
-	switch o {
-	case dram.Hit:
-		ev.RowHits++
-	case dram.Miss:
-		ev.RowMisses++
-	default:
-		ev.RowConflicts++
-	}
 }

@@ -74,12 +74,15 @@ func eventOracle(t *testing.T, arch string) (string, map[string]string) {
 	cfg := gpu.MustLookup(arch)
 	s := New(cfg, 1)
 	untrained := core.NewModel(cfg, core.FullOptions())
+	names := kernels.Names()
+	tests := make([]*Tests, len(names))
 	var cases []Case
-	for _, name := range kernels.Names() {
+	for i, name := range names {
 		k, err := s.Tests(name)
 		if err != nil {
 			t.Fatalf("%s/%s: %v", arch, name, err)
 		}
+		tests[i] = k
 		for _, pl := range k.Placements {
 			cases = append(cases, Case{Kernel: name, Trace: k.Trace, Sample: k.Sample, Target: pl})
 		}
@@ -90,11 +93,8 @@ func eventOracle(t *testing.T, arch string) (string, map[string]string) {
 
 	h := sha256.New()
 	diverged := map[string]string{}
-	for _, name := range kernels.Names() {
-		k, err := s.Tests(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for i, name := range names {
+		k := tests[i]
 		prof, err := s.Measure(name, k.Sample, k.Sample)
 		if err != nil {
 			t.Fatal(err)

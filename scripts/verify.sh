@@ -1,9 +1,11 @@
 #!/bin/sh
 # verify.sh — the repository's verification gate: vet (plus staticcheck when
-# installed), build, a guard keeping the paper harness (internal/experiments,
-# microbench, baseline) out of hmsserved and hmsplace, a guard keeping
-# advisor.PredictorContext the one profiling path of serving code, a guard
-# keeping advisor.Search the one evaluation loop of hmsplace, vet and
+# installed), gofmt, build, a guard keeping the paper harness
+# (internal/experiments, microbench, baseline) out of hmsserved and hmsplace,
+# a guard keeping advisor.PredictorContext the one profiling path of serving
+# code, a guard keeping advisor.Search the one evaluation loop of hmsplace, a
+# guard keeping internal/memsys the one writer of the memory-event counters
+# shared by the model and the simulator, vet and
 # test of the perfbench benchmark module, the full test suite under the race
 # detector, the placement-space walk and resolution-kernel oracle fuzz seeds
 # under race, one-pass benchmark smokes of parallel ranking, delta evaluation,
@@ -39,6 +41,16 @@ if command -v staticcheck >/dev/null 2>&1; then
     staticcheck ./...
 else
     echo "== staticcheck: not installed, vet gate only"
+fi
+
+echo "== gofmt"
+# Every tracked Go file, perfbench included, must be gofmt-clean (untracked
+# build output is not checked).
+unformatted=$(git ls-files -z '*.go' | xargs -0 gofmt -l)
+if [ -n "$unformatted" ]; then
+    echo "verify: not gofmt-clean (run gofmt -w):" >&2
+    echo "$unformatted" >&2
+    exit 1
 fi
 
 echo "== go build ./..."
@@ -82,6 +94,19 @@ if git grep --untracked -n -E 'ReportProgress\(|"advisor_' -- 'cmd/hmsplace/*.go
     exit 1
 fi
 
+echo "== one event vocabulary"
+# The model and the simulator count memory events through the same
+# functions: Resolved.CountEvents, ProbeCounts.CountEvents and CountRowEvents
+# in internal/memsys. No other non-test Go outside internal/perf (which
+# defines the counters) and internal/dram (which tallies row outcomes) writes
+# a memory-event counter of perf.Events.
+counters='LdstIssued|Replay(GlobalDiv|ConstMiss|ConstDiv|Shared|Atomic)|GlobalRequests|ConstantRequest|TextureRequests|SharedRequests|L2Transactions|L2Misses|ConstAccesses|ConstMisses|TexAccesses|TexMisses|SharedBankConflicts|DRAMRequests|RowHits|RowMisses|RowConflicts'
+if git grep --untracked -n -E "\.($counters)[[:space:]]*(\+\+|--|[-+*/]?=[^=])" -- '*.go' ':!*_test.go' \
+    ':!internal/memsys' ':!internal/dram' ':!internal/perf'; then
+    echo "verify: a memory-event counter is written outside internal/memsys; count through memsys" >&2
+    exit 1
+fi
+
 echo "== perfbench module: vet + test"
 # perfbench (the repository benchmark, BENCHMARK.json) is its own Go module,
 # so the ./... steps never compile it; vet and test it here so a change that
@@ -100,8 +125,9 @@ echo "== placement-space walk fuzz seeds under race"
 go test -race ./internal/placement/ -run 'FuzzSpaceWalk' -count=1
 
 echo "== resolution kernel oracle fuzz seeds under race"
-# FuzzResolveMatchesReference pins ResolveScratch/AccessScratch to the
-# reference per-lane resolution on every arch and memory space.
+# FuzzResolveMatchesReference pins ResolveScratch, ProbeLines and the shared
+# event counters to the hand-counted reference per-lane resolution on every
+# arch and memory space.
 go test -race ./internal/memsys/ -run 'FuzzResolveMatchesReference' -count=1
 
 echo "== parallel rank bench smoke"
