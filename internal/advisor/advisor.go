@@ -216,6 +216,11 @@ func (a *Advisor) PredictorContext(ctx context.Context, t *trace.Trace, sample *
 	if t == nil {
 		return nil, hmserr.Wrap(hmserr.ErrInvalidTrace, "nil trace")
 	}
+	// A canceled request does no work: validating a large trace costs tens
+	// of milliseconds, so the context is checked first.
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}

@@ -2,7 +2,8 @@
 // the shared L2, the per-SM constant cache, and the per-SM texture cache
 // (with 2D block swizzling for 2D textures). These are the "cache models
 // based on the cache models in GPGPUSim" of §IV: they take a memory trace,
-// filter it, and report hit/miss outcomes plus event counts.
+// filter it, and report each access's hit/miss outcome (internal/memsys
+// counts the outcomes into events).
 package cache
 
 import (
@@ -25,9 +26,6 @@ type Cache struct {
 	// the last way. valid is tracked by tag != invalidTag, and invalid ways
 	// only ever occupy the tail of a set.
 	tags []uint64
-
-	hits   int64
-	misses int64
 }
 
 const invalidTag = ^uint64(0)
@@ -78,8 +76,8 @@ func New(g gpu.CacheGeometry) *Cache {
 // LineBytes returns the cache line size.
 func (c *Cache) LineBytes() int { return int(c.lineBytes) }
 
-// Access looks up the line containing addr, updating LRU state and counters;
-// on a miss the line is filled. Returns true on hit.
+// Access looks up the line containing addr, updating LRU state; on a miss
+// the line is filled. Returns true on hit.
 //
 // LRU is tracked by keeping each set's tags in recency order, so a hit is a
 // rotate-to-front and a miss evicts the tail — the same hit/miss sequence as
@@ -89,60 +87,25 @@ func (c *Cache) Access(addr uint64) bool {
 	base := int(tag&c.setMask) * c.ways
 	set := c.tags[base : base+c.ways : base+c.ways]
 	if set[0] == tag {
-		c.hits++
 		return true
 	}
 	for i := 1; i < len(set); i++ {
 		if set[i] == tag {
 			copy(set[1:i+1], set[:i])
 			set[0] = tag
-			c.hits++
 			return true
 		}
 	}
-	c.misses++
 	copy(set[1:], set[:len(set)-1])
 	set[0] = tag
 	return false
 }
 
-// Probe reports whether the line containing addr is resident without
-// touching LRU state or counters.
-func (c *Cache) Probe(addr uint64) bool {
-	tag := addr >> c.lineShift
-	base := int(tag&c.setMask) * c.ways
-	for i := base; i < base+c.ways; i++ {
-		if c.tags[i] == tag {
-			return true
-		}
-	}
-	return false
-}
-
-// Hits returns the hit count since the last Reset.
-func (c *Cache) Hits() int64 { return c.hits }
-
-// Misses returns the miss count since the last Reset.
-func (c *Cache) Misses() int64 { return c.misses }
-
-// Accesses returns hits+misses.
-func (c *Cache) Accesses() int64 { return c.hits + c.misses }
-
-// MissRatio returns misses/accesses (0 when no accesses).
-func (c *Cache) MissRatio() float64 {
-	n := c.Accesses()
-	if n == 0 {
-		return 0
-	}
-	return float64(c.misses) / float64(n)
-}
-
-// Reset invalidates all lines and clears counters.
+// Reset invalidates all lines.
 func (c *Cache) Reset() {
 	for i := range c.tags {
 		c.tags[i] = invalidTag
 	}
-	c.hits, c.misses = 0, 0
 }
 
 // Indexer exposes a cache geometry's address decomposition — line tag and
@@ -178,22 +141,16 @@ func (x Indexer) Ways() int { return x.ways }
 // NumSets returns the number of sets after power-of-two rounding.
 func (x Indexer) NumSets() int { return int(x.setMask) + 1 }
 
-// LinesTouched returns the distinct line base addresses referenced by a set
-// of byte addresses, ascending. This is the warp-level coalescing unit: each
-// distinct line is one memory transaction. lineBytes must be a positive power
-// of two (gpu.Config.Validate enforces it for every line and transaction
-// size).
-func LinesTouched(addrs []uint64, lineBytes int) []uint64 {
-	if len(addrs) == 0 {
-		return nil
-	}
-	return LinesTouchedInto(make([]uint64, 0, 4), addrs, lineBytes)
-}
-
-// LinesTouchedInto is LinesTouched appending into dst's storage (dst is
-// truncated first), so per-access hot loops can reuse one buffer instead of
-// allocating: pass the previous call's result re-sliced to [:0], or any
-// scratch slice. The returned slice aliases dst's array when it fits.
+// LinesTouchedInto returns the distinct line base addresses referenced by a
+// set of byte addresses, ascending. This is the warp-level coalescing unit:
+// each distinct line is one memory transaction. lineBytes must be a positive
+// power of two (gpu.Config.Validate enforces it for every line and
+// transaction size).
+//
+// The lines are appended into dst's storage (dst is truncated first), so
+// per-access hot loops can reuse one buffer instead of allocating: pass the
+// previous call's result re-sliced to [:0], or any scratch slice. The
+// returned slice aliases dst's array when it fits.
 //
 // Lines are masked, not divided, out of the addresses. Lanes of a coalesced
 // access arrive in ascending order, so runs of one line collapse as they

@@ -3,7 +3,6 @@ package core
 import (
 	"gpuhms/internal/addrmode"
 	"gpuhms/internal/gpu"
-	"gpuhms/internal/memsys"
 	"gpuhms/internal/placement"
 	"gpuhms/internal/trace"
 )
@@ -47,47 +46,30 @@ type PlacementBound struct {
 // NewPlacementBound derives the bound from a predictor's model, trace, and
 // sample profile. The result is immutable and safe for concurrent use.
 func NewPlacementBound(p *Predictor) *PlacementBound {
-	m, t, cfg := p.model, p.trace, p.model.Cfg
+	m, t, cfg, prog := p.model, p.trace, p.model.Cfg, p.prog
 	b := &PlacementBound{t: t, cfg: cfg, counting: m.Opts.InstrCounting}
 
-	activeSMs := float64(cfg.ActiveSMs(t.Launch.Blocks))
-	imbalance := 1.0
-	if blocks := t.Launch.Blocks; float64(blocks) > activeSMs {
-		perSM := float64(blocks) / activeSMs
-		worst := float64((blocks + int(activeSMs) - 1) / int(activeSMs))
-		imbalance = worst / perSM
-	}
+	activeSMs := float64(prog.activeSMs)
 	nsPerCycle := cfg.NSPerCycle()
-	throughput := m.effectiveThroughput(memsys.ResidentWarps(t, cfg))
-	b.scaleNS = throughput / activeSMs * imbalance * nsPerCycle
+	throughput := m.effectiveThroughput(prog.warpsPerSM)
+	b.scaleNS = throughput / activeSMs * prog.imbalance * nsPerCycle
 
-	// One pass over the trace: placement-independent executed instructions
-	// (non-mem counts plus one slot per memory access), barriers, and the
-	// per-array memory-access counts the addressing-mode term scales.
+	// The program's lockstep walk already holds the placement-independent
+	// executed instructions (non-mem counts plus one slot per memory
+	// access), the barriers, and the per-array memory-access counts the
+	// addressing-mode term scales.
 	b.accesses = make([]float64, len(t.Arrays))
-	var baseExec float64
-	var syncs int64
-	for wi := range t.Warps {
-		for ii := range t.Warps[wi].Inst {
-			in := &t.Warps[wi].Inst[ii]
-			if in.Op.IsMem() {
-				b.accesses[in.Array]++
-				baseExec++
-				continue
-			}
-			baseExec += float64(in.Count)
-			if in.Op == trace.OpSync {
-				syncs++
-			}
-		}
+	for j, insts := range prog.arrayInsts {
+		b.accesses[j] = float64(len(insts))
 	}
+	baseExec := float64(prog.baseEvents.InstExecuted + int64(len(prog.refs)))
 	if !b.counting {
 		// Prior-work counting holds the sample's executed count fixed for
 		// every placement; the addressing term is then constant too, so the
 		// per-array instruction component drops out of the bound.
 		baseExec = float64(p.profile.Events.InstExecuted)
 	}
-	b.baseNS = baseExec*b.scaleNS + float64(syncs)/activeSMs*syncCost*nsPerCycle
+	b.baseNS = baseExec*b.scaleNS + float64(prog.syncs)/activeSMs*syncCost*nsPerCycle
 
 	b.minFree = make([]float64, len(t.Arrays))
 	b.suffix = make([]float64, len(t.Arrays)+1)

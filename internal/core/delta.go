@@ -117,20 +117,10 @@ func newProgram(cfg *gpu.Config, t *trace.Trace) *program {
 
 			if !in.Op.IsMem() {
 				inRun[wi] = false
-				slots := int64(in.Count)
-				if in.Op == trace.OpFP64 {
-					slots *= 2
-				}
 				if in.Op == trace.OpSync {
 					p.syncs++
 				}
-				p.baseEvents.InstExecuted += int64(in.Count)
-				p.baseEvents.InstIssued += int64(in.Count)
-				p.baseEvents.IssueSlots += slots
-				if in.Op == trace.OpInt {
-					p.baseEvents.InstInteger += int64(in.Count)
-				}
-				p.slotSeq = append(p.slotSeq, int32(slots))
+				p.slotSeq = append(p.slotSeq, int32(memsys.CountCompute(&p.baseEvents, in)))
 				continue
 			}
 
@@ -257,7 +247,7 @@ func (p *program) buildContribution(resolver *memsys.Hierarchy, array trace.Arra
 	c.minTag = ^uint64(0)
 	for o, in := range insts {
 		res := resolver.ResolveScratch(b, in, &sc)
-		c.staticReplays[o] = int32(res.Replays.Total())
+		c.staticReplays[o] = int32(res.StaticReplays())
 		res.CountEvents(&c.events, c.k)
 		if offchip {
 			c.offchip++

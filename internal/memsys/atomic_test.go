@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"gpuhms/internal/gpu"
-	"gpuhms/internal/replay"
 	"gpuhms/internal/trace"
 )
 
@@ -21,7 +20,7 @@ func TestAtomicConflictSerialization(t *testing.T) {
 		h := NewHierarchy(cfg)
 		sm := NewSMCaches(cfg)
 		res := access(h, sm, b, &tr.Warps[0].Inst[0])
-		if got := res.Replays.ByReason[replay.AtomicConflict]; got != 31 {
+		if got := res.Events.ReplayAtomic; got != 31 {
 			t.Errorf("fully-contended atomic replays = %d, want 31", got)
 		}
 		if !res.Store {
@@ -42,7 +41,7 @@ func TestAtomicConflictSerialization(t *testing.T) {
 		h := NewHierarchy(cfg)
 		sm := NewSMCaches(cfg)
 		res := access(h, sm, b, &tr.Warps[0].Inst[0])
-		if got := res.Replays.ByReason[replay.AtomicConflict]; got != 0 {
+		if got := res.Events.ReplayAtomic; got != 0 {
 			t.Errorf("conflict-free atomic replays = %d", got)
 		}
 	})
@@ -62,20 +61,20 @@ func TestAtomicConflictSerialization(t *testing.T) {
 		res := access(h, sm, b, &tr.Warps[0].Inst[0])
 		// 16 lanes per address → 15 atomic-conflict replays; the two words
 		// share a bank → 1 bank-conflict replay.
-		if got := res.Replays.ByReason[replay.AtomicConflict]; got != 15 {
+		if got := res.Events.ReplayAtomic; got != 15 {
 			t.Errorf("atomic replays = %d, want 15", got)
 		}
-		if got := res.Replays.ByReason[replay.SharedBankConflict]; got != 1 {
+		if got := res.Events.ReplayShared; got != 1 {
 			t.Errorf("bank replays = %d, want 1", got)
 		}
 	})
 }
 
 func TestAtomicConflictReplaysHelper(t *testing.T) {
-	if got := replay.AtomicConflictReplays(nil); got != 0 {
+	if got := atomicConflicts(nil); got != 0 {
 		t.Errorf("empty = %d", got)
 	}
-	if got := replay.AtomicConflictReplays([]uint64{4, 4, 4, 8}); got != 2 {
+	if got := atomicConflicts([]uint64{4, 4, 4, 8}); got != 2 {
 		t.Errorf("3x one address = %d, want 2", got)
 	}
 }

@@ -1,28 +1,35 @@
 // Package memsys resolves warp-level memory instructions against the HMS
 // memory hierarchy: per-lane element indices become device or shared-memory
 // addresses under a placement, coalesce into transactions, probe the
-// appropriate caches, and finally yield the DRAM request stream.
+// appropriate caches, and finally yield the DRAM request stream. Along the
+// way it quantifies the placement-dependent instruction replays of §III-B:
+// causes (1)–(4) — global address divergence, constant-cache misses,
+// indexed-constant divergence, shared-memory bank conflicts — plus atomic
+// address conflicts (cause (6)). Causes (5)–(10) are assumed identical
+// between the sample and target placements (Eq 3).
 //
-// It is also the one place that maps those outcomes onto perf.Events, the
-// nvprof vocabulary of the paper's Table I: Resolved.CountEvents counts the
-// cache-independent half of an access, ProbeCounts.CountEvents the
-// cache-dependent half, CountRowEvents the DRAM row-buffer outcomes, and
-// ResidentWarps gives the occupancy. The analytical models (internal/core)
-// and the ground-truth timing simulator (internal/sim) both resolve and
-// count through these functions, so where their counters differ they differ
-// about cache or DRAM state (the models replay each per-SM cache space
-// through one lockstep cache; the simulator keeps one per SM and times the
-// DRAM), never about which counter an outcome increments.
+// It is also the one place that maps instructions onto perf.Events, the
+// nvprof vocabulary of the paper's Table I: CountCompute counts a non-memory
+// instruction, Resolved.CountEvents the cache-independent half of a memory
+// access, ProbeCounts.CountEvents the cache-dependent half, CountRowEvents
+// the DRAM row-buffer outcomes, and ResidentWarps gives the occupancy. The
+// analytical models (internal/core) and the ground-truth timing simulator
+// (internal/sim) both resolve and count through these functions, so where
+// their counters differ they differ about cache or DRAM state (the models
+// replay each per-SM cache space through one lockstep cache; the simulator
+// keeps one per SM and times the DRAM), never about which counter an
+// instruction increments.
 package memsys
 
 import (
+	"math/bits"
+	"slices"
+
 	"gpuhms/internal/cache"
 	"gpuhms/internal/dram"
 	"gpuhms/internal/gpu"
 	"gpuhms/internal/perf"
 	"gpuhms/internal/placement"
-	"gpuhms/internal/replay"
-	"gpuhms/internal/sharedmem"
 	"gpuhms/internal/trace"
 )
 
@@ -30,7 +37,6 @@ import (
 type Hierarchy struct {
 	Cfg *gpu.Config
 	L2  *cache.Cache
-	Sh  sharedmem.Config
 }
 
 // NewHierarchy builds the shared level of the memory hierarchy.
@@ -38,7 +44,6 @@ func NewHierarchy(cfg *gpu.Config) *Hierarchy {
 	return &Hierarchy{
 		Cfg: cfg,
 		L2:  cache.New(cfg.L2),
-		Sh:  sharedmem.FromGPU(cfg),
 	}
 }
 
@@ -163,12 +168,17 @@ type Resolved struct {
 	// warp with no active lane.
 	Transactions int
 
-	// Replays holds the cache-independent replay causes only: global and
-	// constant divergence, shared bank conflicts, atomic conflicts. Constant
-	// cache misses (cause (2)) are cache state and come from ProbeLines.
-	Replays replay.Breakdown
-
-	SharedConflicts int
+	// The cache-independent replays, named after the perf.Events counters
+	// they feed: global address divergence (cause (1): transactions − 1),
+	// indexed-constant divergence (cause (3): distinct words − 1), shared
+	// bank conflicts (cause (4): conflict degree − 1) and atomic address
+	// conflicts (cause (6): most-contended address multiplicity − 1).
+	// Constant-cache misses (cause (2)) are cache state and come from
+	// ProbeLines.
+	ReplayGlobalDiv int64
+	ReplayConstDiv  int64
+	ReplayShared    int64
+	ReplayAtomic    int64
 
 	// Lines holds the first-level cache line addresses this access probes
 	// (L2 transaction lines for global, constant-cache lines for constant,
@@ -196,21 +206,19 @@ func (h *Hierarchy) ResolveScratch(b *Binding, in *trace.Inst, sc *Scratch) Reso
 	// space (§III-B replay cause (6)); the per-space effects below apply on
 	// top.
 	if in.Op == trace.OpAtomic {
-		res.Replays.Add(replay.AtomicConflict, replay.AtomicConflictReplays(addrs))
+		res.ReplayAtomic = atomicConflicts(addrs)
 	}
 
 	switch sp.Base() {
 	case gpu.Shared:
 		res.Transactions = 1
-		conflicts := replay.SharedConflictReplays(h.Sh, addrs)
-		res.SharedConflicts = int(conflicts)
-		res.Replays.Add(replay.SharedBankConflict, conflicts)
+		res.ReplayShared = int64(bankConflictDegree(addrs, h.Cfg.SharedBanks, h.Cfg.SharedBankBytes) - 1)
 
 	case gpu.Global:
 		lines := cache.LinesTouchedInto(sc.lines, addrs, h.Cfg.TransactionBytes)
 		sc.lines = lines
 		res.Transactions = len(lines)
-		res.Replays.Add(replay.GlobalDivergence, int64(len(lines)-1))
+		res.ReplayGlobalDiv = int64(len(lines) - 1)
 		res.Lines = lines
 
 	case gpu.Constant:
@@ -219,7 +227,7 @@ func (h *Hierarchy) ResolveScratch(b *Binding, in *trace.Inst, sc *Scratch) Reso
 		// distinct constant-cache lines are what ProbeLines probes.
 		words := cache.LinesTouchedInto(sc.words, addrs, b.Trace.Array(in.Array).Type.Bytes())
 		sc.words = words
-		res.Replays.Add(replay.ConstantDivergence, int64(len(words)-1))
+		res.ReplayConstDiv = int64(len(words) - 1)
 		lines := cache.LinesTouchedInto(sc.lines, addrs, h.Cfg.Constant.LineBytes)
 		sc.lines = lines
 		res.Transactions = len(words)
@@ -234,6 +242,95 @@ func (h *Hierarchy) ResolveScratch(b *Binding, in *trace.Inst, sc *Scratch) Reso
 	return res
 }
 
+// StaticReplays sums the cache-independent replays of the access: the issue
+// slots it takes beyond its first, before any constant-cache miss.
+func (r *Resolved) StaticReplays() int64 {
+	return r.ReplayGlobalDiv + r.ReplayConstDiv + r.ReplayShared + r.ReplayAtomic
+}
+
+// atomicConflicts returns the replays of one warp atomic: lanes whose
+// element addresses collide serialize, so the access issues once per
+// occurrence of the most-contended address — the maximum address
+// multiplicity minus one. The addresses are sorted in a stack copy, so the
+// count allocates nothing (for warps of up to 64 lanes) and leaves addrs
+// untouched.
+func atomicConflicts(addrs []uint64) int64 {
+	if len(addrs) == 0 {
+		return 0
+	}
+	var buf [64]uint64
+	sorted := append(buf[:0], addrs...)
+	cache.SortSmall(sorted)
+	most, run := 1, 1
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i] == sorted[i-1] {
+			run++
+			most = max(most, run)
+		} else {
+			run = 1
+		}
+	}
+	return int64(most - 1)
+}
+
+// bankConflictDegree returns the serialization degree of one shared-memory
+// warp access over banks banks of bankBytes-wide words: the maximum, over
+// banks, of the number of *distinct* words the lanes address in that bank.
+// Lanes reading the same word broadcast and do not conflict. A
+// conflict-free access has degree 1; an access with degree d replays d−1
+// times.
+//
+// addrs holds the block-local byte addresses of the active lanes, at least
+// one (ResolveScratch returns before it for a warp with none). banks and
+// bankBytes must be powers of two (gpu.Config.Validate enforces it): words
+// and banks are shifts and masks.
+func bankConflictDegree(addrs []uint64, banks, bankBytes int) int {
+	// The words of one warp fit a stack buffer: sort and dedup them there,
+	// then count the distinct words per bank in a stack table. Nothing
+	// escapes for warps of up to 64 lanes and 64 banks, so the per-access
+	// cost is one short sort and no allocation.
+	var wordBuf [64]uint64
+	words := wordBuf[:0]
+	shift := uint(bits.TrailingZeros64(uint64(bankBytes)))
+	for _, a := range addrs {
+		words = append(words, a>>shift)
+	}
+	cache.SortSmall(words)
+	words = slices.Compact(words)
+	var countBuf [64]uint16
+	count := countBuf[:]
+	if banks > len(countBuf) {
+		count = make([]uint16, banks)
+	}
+	mask := uint64(banks - 1)
+	degree := uint16(0)
+	for _, w := range words {
+		n := &count[w&mask]
+		*n++
+		degree = max(degree, *n)
+	}
+	return int(degree)
+}
+
+// CountCompute adds one non-memory instruction record — in.Count warp
+// instructions of one op class — to ev and returns the issue slots it
+// takes: one per instruction, two for double precision (two-cycle issue),
+// one for a barrier. Integer instructions also count into InstInteger.
+func CountCompute(ev *perf.Events, in *trace.Inst) int64 {
+	n := int64(in.Count)
+	slots := n
+	if in.Op == trace.OpFP64 {
+		slots *= 2
+	}
+	ev.InstExecuted += n
+	ev.InstIssued += n
+	ev.IssueSlots += slots
+	if in.Op == trace.OpInt {
+		ev.InstInteger += n
+	}
+	return slots
+}
+
 // CountEvents adds the cache-independent events of one warp-level memory
 // instruction to ev: its addressing-mode preamble of preamble integer
 // instructions (§III-B), the instruction itself with its static replays
@@ -243,7 +340,7 @@ func (h *Hierarchy) ResolveScratch(b *Binding, in *trace.Inst, sc *Scratch) Reso
 // rest; together they are the one mapping from an access to perf.Events that
 // the simulator and the models share.
 func (r *Resolved) CountEvents(ev *perf.Events, preamble int64) {
-	static := r.Replays.Total()
+	static := r.StaticReplays()
 	ev.InstExecuted += preamble + 1
 	ev.InstInteger += preamble
 	ev.InstIssued += preamble + 1 + static
@@ -261,11 +358,11 @@ func (r *Resolved) CountEvents(ev *perf.Events, preamble int64) {
 	case gpu.Shared:
 		ev.SharedRequests++
 	}
-	ev.ReplayGlobalDiv += r.Replays.ByReason[replay.GlobalDivergence]
-	ev.ReplayConstDiv += r.Replays.ByReason[replay.ConstantDivergence]
-	ev.ReplayShared += r.Replays.ByReason[replay.SharedBankConflict]
-	ev.ReplayAtomic += r.Replays.ByReason[replay.AtomicConflict]
-	ev.SharedBankConflicts += int64(r.SharedConflicts)
+	ev.ReplayGlobalDiv += r.ReplayGlobalDiv
+	ev.ReplayConstDiv += r.ReplayConstDiv
+	ev.ReplayShared += r.ReplayShared
+	ev.ReplayAtomic += r.ReplayAtomic
+	ev.SharedBankConflicts += r.ReplayShared
 }
 
 // ProbeCounts are the cache-dependent outcomes of replaying one access's

@@ -6,7 +6,6 @@ import (
 	"gpuhms/internal/gpu"
 	"gpuhms/internal/perf"
 	"gpuhms/internal/placement"
-	"gpuhms/internal/replay"
 	"gpuhms/internal/trace"
 )
 
@@ -32,12 +31,13 @@ func bind(cfg *gpu.Config, tr *trace.Trace, spec string) (*Binding, error) {
 
 // accessResult is one warp access's memory-system outcome as the tests
 // below assert it: the resolution, the events the access adds to
-// perf.Events, and the DRAM lines its probe forwards.
+// perf.Events (Events, whose replay counters the tests read), and the DRAM
+// lines its probe forwards.
 type accessResult struct {
 	Space                    gpu.MemSpace
 	Store                    bool
 	Transactions             int
-	Replays                  replay.Breakdown
+	Events                   perf.Events
 	L2Accesses, L2Misses     int
 	ConstAccesses, ConstMiss int
 	TexAccesses, TexMiss     int
@@ -67,12 +67,8 @@ func access(h *Hierarchy, sm *SMCaches, b *Binding, in *trace.Inst) accessResult
 		TexMiss:         int(ev.TexMisses),
 		SharedConflicts: int(ev.SharedBankConflicts),
 		DRAMLines:       dram,
+		Events:          ev,
 	}
-	res.Replays.Add(replay.GlobalDivergence, ev.ReplayGlobalDiv)
-	res.Replays.Add(replay.ConstantMiss, ev.ReplayConstMiss)
-	res.Replays.Add(replay.ConstantDivergence, ev.ReplayConstDiv)
-	res.Replays.Add(replay.SharedBankConflict, ev.ReplayShared)
-	res.Replays.Add(replay.AtomicConflict, ev.ReplayAtomic)
 	return res
 }
 
@@ -94,8 +90,8 @@ func TestGlobalCoalescedAccess(t *testing.T) {
 	if res.Transactions != 1 {
 		t.Errorf("coalesced 32×4B should be 1 transaction, got %d", res.Transactions)
 	}
-	if res.Replays.Total() != 0 {
-		t.Errorf("replays = %d", res.Replays.Total())
+	if n := res.Events.TotalReplays(); n != 0 {
+		t.Errorf("replays = %d", n)
 	}
 	if res.L2Accesses != 1 || res.L2Misses != 1 {
 		t.Errorf("L2: %d/%d", res.L2Accesses, res.L2Misses)
@@ -118,7 +114,7 @@ func TestGlobalDivergentAccess(t *testing.T) {
 	if res.Transactions != 32 {
 		t.Errorf("transactions = %d", res.Transactions)
 	}
-	if got := res.Replays.ByReason[replay.GlobalDivergence]; got != 31 {
+	if got := res.Events.ReplayGlobalDiv; got != 31 {
 		t.Errorf("divergence replays = %d", got)
 	}
 }
@@ -135,18 +131,18 @@ func TestConstantBroadcastVsDivergent(t *testing.T) {
 	sm := NewSMCaches(cfg)
 
 	bc := access(h, sm, b, &tr.Warps[0].Inst[0])
-	if bc.Replays.ByReason[replay.ConstantDivergence] != 0 {
-		t.Errorf("broadcast divergence replays = %d", bc.Replays.ByReason[replay.ConstantDivergence])
+	if bc.Events.ReplayConstDiv != 0 {
+		t.Errorf("broadcast divergence replays = %d", bc.Events.ReplayConstDiv)
 	}
 	if bc.ConstAccesses == 0 || bc.ConstMiss == 0 {
 		t.Errorf("cold constant access: %d/%d", bc.ConstAccesses, bc.ConstMiss)
 	}
-	if bc.Replays.ByReason[replay.ConstantMiss] != int64(bc.ConstMiss) {
+	if bc.Events.ReplayConstMiss != int64(bc.ConstMiss) {
 		t.Error("each constant-cache miss is one replay (cause 2)")
 	}
 
 	dv := access(h, sm, b, &tr.Warps[0].Inst[1])
-	if got := dv.Replays.ByReason[replay.ConstantDivergence]; got != 31 {
+	if got := dv.Events.ReplayConstDiv; got != 31 {
 		t.Errorf("divergent constant replays = %d", got)
 	}
 }
@@ -275,12 +271,14 @@ func TestHierarchyReset(t *testing.T) {
 		func(w *trace.WarpBuilder, id trace.ArrayID) { w.LoadCoalesced(id, 0, 32) })
 	b, _ := bind(cfg, tr, "")
 	sm := NewSMCaches(cfg)
-	access(h, sm, b, &tr.Warps[0].Inst[0])
-	if h.L2.Misses() != 1 {
-		t.Fatalf("L2 misses = %d", h.L2.Misses())
+	if res := access(h, sm, b, &tr.Warps[0].Inst[0]); res.L2Misses != 1 {
+		t.Fatalf("cold L2 misses = %d", res.L2Misses)
+	}
+	if res := access(h, sm, b, &tr.Warps[0].Inst[0]); res.L2Misses != 0 {
+		t.Fatalf("warm L2 misses = %d", res.L2Misses)
 	}
 	h.Reset()
-	if h.L2.Misses() != 0 || h.L2.Accesses() != 0 {
+	if res := access(h, sm, b, &tr.Warps[0].Inst[0]); res.L2Misses != 1 {
 		t.Error("reset must clear the L2")
 	}
 }

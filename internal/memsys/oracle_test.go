@@ -10,8 +10,6 @@ import (
 	"gpuhms/internal/gpu"
 	"gpuhms/internal/perf"
 	"gpuhms/internal/placement"
-	"gpuhms/internal/replay"
-	"gpuhms/internal/sharedmem"
 	"gpuhms/internal/trace"
 )
 
@@ -70,17 +68,17 @@ func refLinesTouched(addrs []uint64, lineBytes int) []uint64 {
 
 // refConflictDegree counts distinct words per bank in a per-call bank table
 // with a map overflow.
-func refConflictDegree(c sharedmem.Config, addrs []uint64) int {
+func refConflictDegree(banks, bankBytes int, addrs []uint64) int {
 	type bankWords struct {
 		words [4]uint64
 		n     int
 		over  map[uint64]struct{}
 	}
-	banks := make([]bankWords, c.Banks)
+	table := make([]bankWords, banks)
 	degree := 0
 	for _, a := range addrs {
-		word := a / uint64(c.BankBytes)
-		bw := &banks[int(word%uint64(c.Banks))]
+		word := a / uint64(bankBytes)
+		bw := &table[int(word%uint64(banks))]
 		dup := false
 		for j := 0; j < bw.n && j < len(bw.words); j++ {
 			if bw.words[j] == word {
@@ -139,21 +137,19 @@ func refResolve(h *Hierarchy, b *Binding, in *trace.Inst) Resolved {
 		return res
 	}
 	if in.Op == trace.OpAtomic {
-		res.Replays.Add(replay.AtomicConflict, refAtomicConflictReplays(addrs))
+		res.ReplayAtomic = refAtomicConflictReplays(addrs)
 	}
 	switch sp.Base() {
 	case gpu.Shared:
 		res.Transactions = 1
-		conflicts := int64(refConflictDegree(h.Sh, addrs) - 1)
-		res.SharedConflicts = int(conflicts)
-		res.Replays.Add(replay.SharedBankConflict, conflicts)
+		res.ReplayShared = int64(refConflictDegree(h.Cfg.SharedBanks, h.Cfg.SharedBankBytes, addrs) - 1)
 	case gpu.Global:
 		res.Lines = refLinesTouched(addrs, h.Cfg.TransactionBytes)
 		res.Transactions = len(res.Lines)
-		res.Replays.Add(replay.GlobalDivergence, int64(len(res.Lines)-1))
+		res.ReplayGlobalDiv = int64(len(res.Lines) - 1)
 	case gpu.Constant:
 		words := refLinesTouched(addrs, b.Trace.Array(in.Array).Type.Bytes())
-		res.Replays.Add(replay.ConstantDivergence, int64(len(words)-1))
+		res.ReplayConstDiv = int64(len(words) - 1)
 		res.Lines = refLinesTouched(addrs, h.Cfg.Constant.LineBytes)
 		res.Transactions = len(words)
 	case gpu.Texture1D, gpu.Texture2D:
@@ -171,7 +167,9 @@ func refAccess(h *Hierarchy, sm *SMCaches, b *Binding, in *trace.Inst) (perf.Eve
 	r := refResolve(h, b, in)
 	var ev perf.Events
 	var dram []uint64
-	issued := 1 + r.Replays.Total() // the instruction and its static replays
+	// The instruction and its static replays, summed here rather than by
+	// StaticReplays.
+	issued := 1 + r.ReplayGlobalDiv + r.ReplayConstDiv + r.ReplayShared + r.ReplayAtomic
 	l2 := func(ln uint64) {
 		ev.L2Transactions++
 		if !h.L2.Access(ln) {
@@ -208,11 +206,11 @@ func refAccess(h *Hierarchy, sm *SMCaches, b *Binding, in *trace.Inst) (perf.Eve
 	case gpu.Shared:
 		ev.SharedRequests++
 	}
-	ev.ReplayGlobalDiv = r.Replays.ByReason[replay.GlobalDivergence]
-	ev.ReplayConstDiv = r.Replays.ByReason[replay.ConstantDivergence]
-	ev.ReplayShared = r.Replays.ByReason[replay.SharedBankConflict]
-	ev.ReplayAtomic = r.Replays.ByReason[replay.AtomicConflict]
-	ev.SharedBankConflicts = int64(r.SharedConflicts)
+	ev.ReplayGlobalDiv = r.ReplayGlobalDiv
+	ev.ReplayConstDiv = r.ReplayConstDiv
+	ev.ReplayShared = r.ReplayShared
+	ev.ReplayAtomic = r.ReplayAtomic
+	ev.SharedBankConflicts = r.ReplayShared
 
 	// The addressing-mode preamble: k integer instructions before the access.
 	k := int64(addrmode.InstrPerAccess(r.Space, b.Trace.Array(in.Array).Type))
@@ -341,7 +339,8 @@ func FuzzResolveMatchesReference(f *testing.F) {
 				in := &tr.Warps[0].Inst[i]
 				got, want := h.ResolveScratch(b, in, &sc), refResolve(hRef, b, in)
 				if got.Space != want.Space || got.Transactions != want.Transactions ||
-					got.Replays != want.Replays || got.SharedConflicts != want.SharedConflicts ||
+					got.ReplayGlobalDiv != want.ReplayGlobalDiv || got.ReplayConstDiv != want.ReplayConstDiv ||
+					got.ReplayShared != want.ReplayShared || got.ReplayAtomic != want.ReplayAtomic ||
 					!slices.Equal(got.Lines, want.Lines) {
 					t.Fatalf("%s %s inst %d: ResolveScratch = %+v, reference %+v (lanes %v)",
 						cfg.Name, sp, i, got, want, in.Index)

@@ -100,9 +100,11 @@ func New(cfg *gpu.Config) *Simulator {
 	return &Simulator{Cfg: cfg, Mapping: dram.DefaultMapping(cfg.DRAM)}
 }
 
-// instruction latencies in cycles by op class.
+// instruction latencies in cycles by op class; a barrier retires at issue.
 func (s *Simulator) latency(op trace.Op) float64 {
 	switch op {
+	case trace.OpSync:
+		return 0
 	case trace.OpSFU:
 		return s.Cfg.AvgInstLatency * 2
 	case trace.OpFP64:
@@ -323,39 +325,18 @@ func (s *Simulator) RunContext(ctx context.Context, t *trace.Trace, sample, targ
 			w.started = st
 		}
 
-		switch {
-		case in.Op == trace.OpSync:
-			// Barrier: consume pending loads (intra-warp approximation of
-			// the block barrier). The pending wait was already folded into
-			// w.ready when the previous instruction retired, so the port is
-			// only held for the issue slot itself.
+		if !in.Op.IsMem() {
+			// Compute and barriers consume loaded values (a barrier is the
+			// intra-warp approximation of the block barrier). The wait for
+			// pending loads was folded into w.ready before the warp
+			// re-entered the scheduler (see below), so st already reflects
+			// data readiness and the SM port is never reserved across a
+			// stall; a barrier holds the port for its issue slot only.
 			w.pending = w.pending[:0]
-			smFree[w.sm] = st + 1
-			w.ready = st + 1
-			ev.IssueSlots++
-			ev.InstIssued++
-			ev.InstExecuted++
-
-		case !in.Op.IsMem():
-			// Compute consumes loaded values. Its wait for pending loads was
-			// folded into w.ready before the warp re-entered the scheduler
-			// (see below), so st already reflects data readiness and the SM
-			// port is never reserved across a stall.
-			w.pending = w.pending[:0]
-			slots := float64(in.Count)
-			if in.Op == trace.OpFP64 {
-				slots *= 2 // two-cycle issue of double-precision ops
-			}
+			slots := float64(memsys.CountCompute(&ev, in))
 			smFree[w.sm] = st + slots
 			w.ready = st + slots + s.latency(in.Op)
-			ev.IssueSlots += int64(slots)
-			ev.InstIssued += int64(in.Count)
-			ev.InstExecuted += int64(in.Count)
-			if in.Op == trace.OpInt {
-				ev.InstInteger += int64(in.Count)
-			}
-
-		default:
+		} else {
 			// Memory instruction: addressing-mode preamble, then the
 			// load/store with its replays and data latency.
 			r := hier.ResolveScratch(binding, in, &sc.mem)
@@ -370,13 +351,13 @@ func (s *Simulator) RunContext(ctx context.Context, t *trace.Trace, sample, targ
 			sc.dram = dramLines
 			r.CountEvents(&ev, k)
 			pc.CountEvents(&ev)
-			replays := r.Replays.Total() + pc.ConstMisses
+			replays := r.StaticReplays() + pc.ConstMisses
 			issueEnd := st + (1 + float64(replays))
 			smFree[w.sm] = issueEnd
 
 			var done float64
 			if space == gpu.Shared {
-				done = issueEnd + s.Cfg.SharedLatency + float64(r.SharedConflicts)
+				done = issueEnd + s.Cfg.SharedLatency + float64(r.ReplayShared)
 			} else {
 				// Cache-hit portion. Remote-placed arrays (chiplet) add one
 				// interposer crossing to every off-chip access, hit or miss.

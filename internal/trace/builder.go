@@ -114,8 +114,12 @@ func (w *WarpBuilder) SFU(n int) *WarpBuilder { return w.compute(OpSFU, n) }
 // Branch emits n control-flow instructions.
 func (w *WarpBuilder) Branch(n int) *WarpBuilder { return w.compute(OpBranch, n) }
 
-// Sync emits a barrier.
-func (w *WarpBuilder) Sync() *WarpBuilder { return w.compute(OpSync, 1) }
+// Sync emits a barrier. Every barrier is its own record of Count 1 — two
+// barriers in a row are two records, never one merged run.
+func (w *WarpBuilder) Sync() *WarpBuilder {
+	w.w.Inst = append(w.w.Inst, Inst{Op: OpSync, Count: 1})
+	return w
+}
 
 func (w *WarpBuilder) mem(op Op, a ArrayID, idx []int64) *WarpBuilder {
 	if len(idx) != w.warpSize {

@@ -2,9 +2,13 @@ package trace
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
+
+	"gpuhms/internal/hmserr"
 )
 
 func TestJSONRoundTrip(t *testing.T) {
@@ -70,5 +74,18 @@ func TestReadJSONRejectsGarbage(t *testing.T) {
 	  "arrays":[{"name":"a","type":"quaternion","len":4}],"warps":[]}`
 	if _, err := ReadJSON(strings.NewReader(badType)); err == nil {
 		t.Error("unknown dtype must be rejected")
+	}
+}
+
+// A barrier record stands for exactly one barrier: the simulator and the
+// model charge it one issue slot, so a merged run of two is invalid.
+func TestReadJSONRejectsMergedBarrier(t *testing.T) {
+	bar := `{"kernel":"k","launch":{"Blocks":1,"ThreadsPerBlock":32,"WarpSize":32},
+	  "arrays":[],"warps":[{"block":0,"warp":0,"inst":[{"op":"BAR","count":%d}]}]}`
+	if _, err := ReadJSON(strings.NewReader(fmt.Sprintf(bar, 2))); !errors.Is(err, hmserr.ErrInvalidTrace) {
+		t.Errorf("BAR with count 2: err = %v, want ErrInvalidTrace", err)
+	}
+	if _, err := ReadJSON(strings.NewReader(fmt.Sprintf(bar, 1))); err != nil {
+		t.Errorf("BAR with count 1: %v", err)
 	}
 }

@@ -212,7 +212,8 @@ func invalidf(format string, args ...any) error {
 
 // Validate checks internal consistency: arrays have unique names and sane
 // positive footprints, memory instructions have per-lane indices of the
-// right length and in range, compute instructions have positive counts.
+// right length and in range, compute instructions have positive counts,
+// and every barrier record has Count 1 (one barrier, one issue slot).
 // All failures wrap hmserr.ErrInvalidTrace.
 func (t *Trace) Validate() error {
 	if t.Launch.WarpSize <= 0 || t.Launch.WarpSize > 1024 {
@@ -266,6 +267,9 @@ func (t *Trace) Validate() error {
 				}
 			} else if in.Count <= 0 {
 				return invalidf("trace %s: warp %d inst %d: compute count %d",
+					t.Kernel, wi, ii, in.Count)
+			} else if in.Op == OpSync && in.Count != 1 {
+				return invalidf("trace %s: warp %d inst %d: barrier count %d, want 1",
 					t.Kernel, wi, ii, in.Count)
 			}
 		}

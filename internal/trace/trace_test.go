@@ -95,6 +95,21 @@ func TestBuilderMergesComputeRuns(t *testing.T) {
 	}
 }
 
+func TestBuilderKeepsBarriersApart(t *testing.T) {
+	b := NewBuilder("k", Launch{Blocks: 1, ThreadsPerBlock: 32, WarpSize: 32})
+	b.Warp(0, 0).Sync().Sync()
+	tr := b.MustBuild()
+	insts := tr.Warps[0].Inst
+	if len(insts) != 2 {
+		t.Fatalf("two barriers built %d records: %+v", len(insts), insts)
+	}
+	for i, in := range insts {
+		if in.Op != OpSync || in.Count != 1 {
+			t.Errorf("record %d: %+v, want one barrier", i, in)
+		}
+	}
+}
+
 func TestBuilderCopiesIndexSlices(t *testing.T) {
 	b := NewBuilder("k", Launch{Blocks: 1, ThreadsPerBlock: 32, WarpSize: 32})
 	a := b.DeclareArray(Array{Name: "a", Type: F32, Len: 64, ReadOnly: true})

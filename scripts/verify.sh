@@ -95,15 +95,25 @@ if git grep --untracked -n -E 'ReportProgress\(|"advisor_' -- 'cmd/hmsplace/*.go
 fi
 
 echo "== one event vocabulary"
-# The model and the simulator count memory events through the same
-# functions: Resolved.CountEvents, ProbeCounts.CountEvents and CountRowEvents
-# in internal/memsys. No other non-test Go outside internal/perf (which
-# defines the counters) and internal/dram (which tallies row outcomes) writes
-# a memory-event counter of perf.Events.
-counters='LdstIssued|Replay(GlobalDiv|ConstMiss|ConstDiv|Shared|Atomic)|GlobalRequests|ConstantRequest|TextureRequests|SharedRequests|L2Transactions|L2Misses|ConstAccesses|ConstMisses|TexAccesses|TexMisses|SharedBankConflicts|DRAMRequests|RowHits|RowMisses|RowConflicts'
+# The model and the simulator count instructions through the same functions:
+# CountCompute, Resolved.CountEvents, ProbeCounts.CountEvents and
+# CountRowEvents in internal/memsys. No other non-test Go outside
+# internal/perf (which defines the counters) and internal/dram (which tallies
+# row outcomes) writes an issue-accounting or memory-event counter of
+# perf.Events. internal/faults is exempt: it corrupts finished measurements
+# on purpose (fault injection), it does not count them.
+counters='IssueSlots|InstIssued|InstExecuted|InstInteger|LdstIssued|Replay(GlobalDiv|ConstMiss|ConstDiv|Shared|Atomic)|GlobalRequests|ConstantRequest|TextureRequests|SharedRequests|L2Transactions|L2Misses|ConstAccesses|ConstMisses|TexAccesses|TexMisses|SharedBankConflicts|DRAMRequests|RowHits|RowMisses|RowConflicts'
 if git grep --untracked -n -E "\.($counters)[[:space:]]*(\+\+|--|[-+*/]?=[^=])" -- '*.go' ':!*_test.go' \
-    ':!internal/memsys' ':!internal/dram' ':!internal/perf'; then
-    echo "verify: a memory-event counter is written outside internal/memsys; count through memsys" >&2
+    ':!internal/memsys' ':!internal/dram' ':!internal/perf' ':!internal/faults'; then
+    echo "verify: a perf.Events counter is written outside internal/memsys; count through memsys" >&2
+    exit 1
+fi
+# The replay and bank-conflict accounting lives in internal/memsys; the
+# packages it was folded from must not come back beside it.
+folded=$(go list ./... | grep -E '^gpuhms/internal/(replay|sharedmem)$' || true)
+if [ -n "$folded" ]; then
+    echo "verify: replay accounting outside internal/memsys:" >&2
+    echo "$folded" >&2
     exit 1
 fi
 
