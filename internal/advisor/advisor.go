@@ -217,11 +217,12 @@ func (a *Advisor) PredictorContext(ctx context.Context, t *trace.Trace, sample *
 		return nil, hmserr.Wrap(hmserr.ErrInvalidTrace, "nil trace")
 	}
 	// A canceled request does no work: validating a large trace costs tens
-	// of milliseconds, so the context is checked first.
+	// of milliseconds, so the context is checked first and polled during
+	// validation.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if err := t.Validate(); err != nil {
+	if err := t.ValidateContext(ctx); err != nil {
 		return nil, err
 	}
 	rec := a.rec()

@@ -55,10 +55,6 @@ type Analysis struct {
 	RawSpanNS   float64
 	RowCounts   dram.OutcomeCounts
 
-	// Per-bank arrival burstiness: mean and cross-bank standard deviation of
-	// the inter-arrival coefficient of variation c_a (the Fig 4 statistics).
-	BankCaMean, BankCaStd float64
-
 	// Staging.
 	StagingNS float64
 

@@ -398,11 +398,11 @@ type mergeScratch struct {
 	sumCounts []int32
 }
 
-func newMergeScratch(cfg *gpu.Config, mapping dram.Mapping, mode dram.DistributionMode) *mergeScratch {
+func newMergeScratch(cfg *gpu.Config, mode dram.DistributionMode) *mergeScratch {
 	return &mergeScratch{
 		hier:      memsys.NewHierarchy(cfg),
 		sm:        memsys.NewSMCaches(cfg),
-		an:        dram.NewAnalyzer(cfg.DRAM, mapping, mode),
+		an:        dram.NewAnalyzer(cfg.DRAM, dram.DefaultMapping(cfg.DRAM), mode),
 		sumCounts: make([]int32, cache.NewIndexer(cfg.L2).NumSets()),
 	}
 }
@@ -602,7 +602,6 @@ func (p *program) finishAnalysis(a *Analysis, an *dram.Analyzer, pl *placement.P
 	a.RowCounts = an.Counts()
 	memsys.CountRowEvents(&a.Events, a.RowCounts)
 	a.Events.WarpsPerSM = p.warpsPerSM
-	a.BankCaMean, a.BankCaStd = an.MeanCa()
 	a.StagingNS = placement.SharedStagingBytes(p.t, pl) / p.cfg.SharedCopyGBs
 	return a
 }

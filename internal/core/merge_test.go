@@ -37,7 +37,7 @@ func TestMergeFastMatchesExact(t *testing.T) {
 	for _, arch := range gpu.Names() {
 		cfg := gpu.MustLookup(arch)
 		m := NewModel(cfg, FullOptions())
-		newScratch := func() *mergeScratch { return newMergeScratch(cfg, m.Mapping, m.distMode()) }
+		newScratch := func() *mergeScratch { return newMergeScratch(cfg, m.distMode()) }
 		checked, passed := 0, 0
 		for _, name := range archSweepKernels() {
 			spec := kernels.MustGet(name)

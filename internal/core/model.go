@@ -56,14 +56,14 @@ func FullOptions() Options {
 
 // Model predicts kernel execution times under data placements.
 type Model struct {
-	Cfg     *gpu.Config
-	Mapping dram.Mapping
-	Opts    Options
+	Cfg  *gpu.Config
+	Opts Options
 }
 
-// NewModel builds a model with the architecture's default address mapping.
+// NewModel builds a model for the architecture; its DRAM analysis uses the
+// address mapping derived from the topology (dram.DefaultMapping).
 func NewModel(cfg *gpu.Config, opts Options) *Model {
-	return &Model{Cfg: cfg, Mapping: dram.DefaultMapping(cfg.DRAM), Opts: opts}
+	return &Model{Cfg: cfg, Opts: opts}
 }
 
 // SampleProfile is what profiling the sample placement provides: its
@@ -227,7 +227,7 @@ func (m *Model) AnalyzePlacement(t *trace.Trace, sample, target *placement.Place
 		sp := target.Spaces[i]
 		contribs[i] = prog.buildContribution(resolver, trace.ArrayID(i), sp, addrKeyOf(layout, sp, i))
 	}
-	return prog.merge(target, contribs, newMergeScratch(m.Cfg, m.Mapping, m.distMode()), nil)
+	return prog.merge(target, contribs, newMergeScratch(m.Cfg, m.distMode()), nil)
 }
 
 // evalState runs the decomposed evaluation of a target placement: resolve the
@@ -276,7 +276,7 @@ func (p *Predictor) evalState(target *placement.Placement, prev *DeltaState, mov
 	}
 	p.mu.Lock()
 	if p.scr == nil {
-		p.scr = newMergeScratch(p.model.Cfg, p.model.Mapping, p.model.distMode())
+		p.scr = newMergeScratch(p.model.Cfg, p.model.distMode())
 	} else {
 		p.scr.reset()
 	}

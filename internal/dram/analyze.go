@@ -153,9 +153,6 @@ func (a *Analyzer) Add(addr uint64, at float64) Outcome {
 // Counts returns the aggregate row-buffer outcome tally.
 func (a *Analyzer) Counts() OutcomeCounts { return a.total }
 
-// BankCounts returns per-bank outcome tallies.
-func (a *Analyzer) BankCounts() []OutcomeCounts { return a.counts }
-
 // Streams summarizes every bank that saw at least one request as a queuing
 // stream: occupancy statistics as the service process (they bound
 // throughput), the row-buffer-dependent mean access latency as AccessNS

@@ -80,12 +80,6 @@ func (rb *RowBuffer) Access(row int64) Outcome {
 	}
 }
 
-// Open reports the currently open row, if any.
-func (rb *RowBuffer) Open() (int64, bool) { return rb.openRow, rb.open }
-
-// Close empties the row buffer (e.g. a refresh or precharge-all).
-func (rb *RowBuffer) Close() { rb.open = false }
-
 // OutcomeCounts tallies classification results.
 type OutcomeCounts struct {
 	Hits, Misses, Conflicts int64

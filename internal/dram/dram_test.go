@@ -88,12 +88,15 @@ func TestRowBufferStateMachine(t *testing.T) {
 	if got := rb.Access(9); got != Conflict {
 		t.Errorf("different row = %v, want conflict", got)
 	}
-	if row, open := rb.Open(); !open || row != 9 {
-		t.Errorf("open row = %d,%v", row, open)
+	if got := rb.Access(9); got != Hit {
+		t.Errorf("row opened by the conflict = %v, want hit", got)
 	}
-	rb.Close()
-	if got := rb.Access(9); got != Miss {
-		t.Errorf("after close = %v, want miss", got)
+	if got := rb.Access(5); got != Conflict {
+		t.Errorf("previous row = %v, want conflict", got)
+	}
+	rb = RowBuffer{}
+	if got := rb.Access(5); got != Miss {
+		t.Errorf("empty row buffer = %v, want miss", got)
 	}
 }
 
@@ -222,19 +225,18 @@ func TestSystemCountsAndReset(t *testing.T) {
 	if s.Counts().Total() != 2 {
 		t.Errorf("counts = %+v", s.Counts())
 	}
-	var reqTotal int64
-	for _, n := range s.BankRequests() {
-		reqTotal += n
-	}
-	if reqTotal != 2 {
-		t.Errorf("bank requests = %d", reqTotal)
-	}
 	s.Reset()
 	if s.Counts().Total() != 0 {
 		t.Error("reset must clear counts")
 	}
-	if r := s.Service(0, 0); r.Outcome != Miss {
-		t.Error("reset must close row buffers")
+	// Without the reset, bank 0 and its controller would still be busy at
+	// time 0 and its row open.
+	r := s.Service(0, 0)
+	if r.Outcome != Miss {
+		t.Errorf("first access after reset = %v, want miss (row buffers closed)", r.Outcome)
+	}
+	if r.Start != 0 {
+		t.Errorf("first access after reset starts at %g, want its arrival 0 (banks and buses free)", r.Start)
 	}
 }
 

@@ -1,28 +1,20 @@
 package dram
 
-import (
-	"gpuhms/internal/gpu"
-	"gpuhms/internal/stats"
-)
+import "gpuhms/internal/gpu"
 
 // System is the event-driven DRAM model used as ground truth by the timing
 // simulator. Each global bank is a single server with a FIFO queue: a
 // request starts service when both it has arrived and the bank is free; its
-// service time depends on the row-buffer outcome at service start.
+// service time depends on the row-buffer outcome at service start. System
+// keeps timing state only — row buffers, bank and bus free times — plus the
+// aggregate outcome tally; per-bank statistics belong to Analyzer.
 type System struct {
 	topo    gpu.DRAMTopology
 	mapping Mapping
 
-	rows     []RowBuffer
-	freeAt   []float64 // per bank: time the bank becomes free, ns
-	ctlFree  []float64 // per controller: data-bus free time, ns
-	counts   []OutcomeCounts
-	requests []int64 // per bank request tally
-
-	// Per-bank arrival statistics (for the Fig 4 inter-arrival study).
-	arrival  []stats.Welford
-	lastAt   []float64
-	seenBank []bool
+	rows    []RowBuffer
+	freeAt  []float64 // per bank: time the bank becomes free, ns
+	ctlFree []float64 // per controller: data-bus free time, ns
 
 	total OutcomeCounts
 }
@@ -36,24 +28,13 @@ func Controller(bank, controllers int) int { return bank % controllers }
 func NewSystem(topo gpu.DRAMTopology, m Mapping) *System {
 	nb := topo.TotalBanks()
 	return &System{
-		topo:     topo,
-		mapping:  m,
-		rows:     make([]RowBuffer, nb),
-		freeAt:   make([]float64, nb),
-		ctlFree:  make([]float64, topo.Controllers),
-		counts:   make([]OutcomeCounts, nb),
-		requests: make([]int64, nb),
-		arrival:  make([]stats.Welford, nb),
-		lastAt:   make([]float64, nb),
-		seenBank: make([]bool, nb),
+		topo:    topo,
+		mapping: m,
+		rows:    make([]RowBuffer, nb),
+		freeAt:  make([]float64, nb),
+		ctlFree: make([]float64, topo.Controllers),
 	}
 }
-
-// Mapping returns the system's address mapping.
-func (s *System) Mapping() Mapping { return s.mapping }
-
-// Topology returns the DRAM topology.
-func (s *System) Topology() gpu.DRAMTopology { return s.topo }
 
 // Result describes the servicing of one request.
 type Result struct {
@@ -89,66 +70,18 @@ func (s *System) Service(addr uint64, arrival float64) Result {
 	done := start + out.ServiceNS(s.topo)
 	s.freeAt[bank] = start + out.BusyNS(s.topo)
 	s.ctlFree[ctl] = start + s.topo.CtlBusyNS
-	s.counts[bank].Add(out)
 	s.total.Add(out)
-	s.requests[bank]++
-	if s.seenBank[bank] {
-		d := arrival - s.lastAt[bank]
-		if d < 0 {
-			d = 0
-		}
-		s.arrival[bank].Add(d)
-	}
-	s.seenBank[bank] = true
-	s.lastAt[bank] = arrival
-
 	return Result{Bank: bank, Row: row, Outcome: out, Start: start, Done: done}
-}
-
-// Peek classifies a request without servicing it (no state change).
-func (s *System) Peek(addr uint64) (bank int, row int64, open bool) {
-	bank = s.mapping.Bank(addr)
-	row = s.mapping.Row(addr)
-	_, open = s.rows[bank].Open()
-	return bank, row, open
 }
 
 // Counts returns the aggregate outcome tally.
 func (s *System) Counts() OutcomeCounts { return s.total }
 
-// BankCounts returns the per-bank outcome tallies.
-func (s *System) BankCounts() []OutcomeCounts { return s.counts }
-
-// BankRequests returns per-bank request totals, showing how the address
-// mapping distributed the trace across banks.
-func (s *System) BankRequests() []int64 { return s.requests }
-
-// MeanCa returns the mean and cross-bank standard deviation of the per-bank
-// inter-arrival coefficient of variation, over banks with ≥2 gaps.
-func (s *System) MeanCa() (mean, std float64) {
-	var cas []float64
-	for b := range s.arrival {
-		if s.arrival[b].N() < 2 {
-			continue
-		}
-		cas = append(cas, s.arrival[b].CoV())
-	}
-	return stats.Mean(cas), stats.StdDev(cas)
-}
-
-// Reset clears all row buffers, queues and counters.
+// Reset closes every row buffer and frees every bank and bus, returning the
+// system to its freshly-built state.
 func (s *System) Reset() {
-	for i := range s.rows {
-		s.rows[i].Close()
-		s.freeAt[i] = 0
-		s.counts[i] = OutcomeCounts{}
-		s.requests[i] = 0
-		s.arrival[i] = stats.Welford{}
-		s.lastAt[i] = 0
-		s.seenBank[i] = false
-	}
-	for i := range s.ctlFree {
-		s.ctlFree[i] = 0
-	}
+	clear(s.rows)
+	clear(s.freeAt)
+	clear(s.ctlFree)
 	s.total = OutcomeCounts{}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"gpuhms/internal/dram"
 	"gpuhms/internal/microbench"
 )
 
@@ -24,7 +25,7 @@ type Alg1Report struct {
 // measurement (hit 352 ns, miss 742 ns, conflict 1008 ns) is the calibration
 // source of the DRAM latencies, so the latencies must round-trip exactly.
 func (c *Context) Alg1() (*Alg1Report, error) {
-	mapping := c.DefaultMapping()
+	mapping := dram.DefaultMapping(c.Cfg.DRAM)
 	hi := mapping.RowLo + mapping.RowBits
 	det := microbench.Detect(c.Cfg.DRAM, mapping, 0, hi)
 

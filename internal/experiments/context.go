@@ -11,7 +11,6 @@ import (
 
 	"gpuhms/internal/baseline"
 	"gpuhms/internal/core"
-	"gpuhms/internal/dram"
 	"gpuhms/internal/gpu"
 	"gpuhms/internal/kernels"
 	"gpuhms/internal/train"
@@ -66,7 +65,3 @@ func EvalKernels() []string {
 	sort.Strings(names)
 	return names
 }
-
-// DefaultMapping is the architecture's DRAM address mapping used across
-// experiments.
-func (c *Context) DefaultMapping() dram.Mapping { return dram.DefaultMapping(c.Cfg.DRAM) }

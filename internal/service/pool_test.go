@@ -179,12 +179,12 @@ func TestPoolShedsAtDequeue(t *testing.T) {
 }
 
 // TestRetryAfterJitterBounds pins the full-jitter backoff: always >= 1,
-// bounded by base<<k, and the exponent k grows with queue fullness.
+// bounded by 1<<k, and the exponent k grows with queue fullness.
 func TestRetryAfterJitterBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for depth := 0; depth <= 64; depth += 8 {
 		for i := 0; i < 200; i++ {
-			got := retryAfterSeconds(depth, 64, 1, rng.Intn)
+			got := retryAfterSeconds(depth, 64, rng.Intn)
 			k := 4 * depth / 64
 			if k > 4 {
 				k = 4
@@ -196,7 +196,7 @@ func TestRetryAfterJitterBounds(t *testing.T) {
 	}
 	// An empty queue keeps the base: no pointless long waits after drain.
 	for i := 0; i < 50; i++ {
-		if got := retryAfterSeconds(0, 64, 1, rng.Intn); got != 1 {
+		if got := retryAfterSeconds(0, 64, rng.Intn); got != 1 {
 			t.Fatalf("empty queue Retry-After %d, want 1", got)
 		}
 	}
@@ -204,14 +204,14 @@ func TestRetryAfterJitterBounds(t *testing.T) {
 	// returns in lockstep.
 	seen := map[int]bool{}
 	for i := 0; i < 500; i++ {
-		seen[retryAfterSeconds(64, 64, 1, rng.Intn)] = true
+		seen[retryAfterSeconds(64, 64, rng.Intn)] = true
 	}
 	if len(seen) < 8 {
 		t.Fatalf("full-queue jitter produced only %d distinct values", len(seen))
 	}
-	// Degenerate configs stay sane.
-	if got := retryAfterSeconds(0, 0, 0, rng.Intn); got < 1 {
-		t.Fatalf("zero config Retry-After %d", got)
+	// A zero-capacity queue stays sane.
+	if got := retryAfterSeconds(0, 0, rng.Intn); got < 1 {
+		t.Fatalf("zero-capacity Retry-After %d", got)
 	}
 }
 

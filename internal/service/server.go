@@ -37,12 +37,6 @@ type Options struct {
 	// DefaultTimeout bounds a search's wall clock when the request carries
 	// no timeout_ms (default 60s; negative means unlimited).
 	DefaultTimeout time.Duration
-	// RetryAfter is the base Retry-After value (seconds) for shed responses
-	// (default 1). The value actually sent on 429/503 is full-jitter
-	// exponential: uniform in [1, RetryAfter << k], where k grows with the
-	// queue's fullness — synchronized client retries decorrelate instead of
-	// re-stampeding the pool.
-	RetryAfter int
 	// SnapshotFaults optionally injects chaos (write failures, torn writes,
 	// slow I/O) into SaveSnapshot; nil disables injection. Wired by the soak
 	// harness via internal/faults.Points.
@@ -75,12 +69,6 @@ type Options struct {
 	SLOTargetP99 time.Duration
 	// SLOAvailability is the availability SLO target (default 0.999).
 	SLOAvailability float64
-	// SLOWindow is the rolling window of the SLO quantiles and burn rates
-	// (default 60s).
-	SLOWindow time.Duration
-	// SLONow injects the SLO tracker's clock; tests use a fake one so
-	// window expiry is testable without sleeping. Nil uses the wall clock.
-	SLONow func() time.Time
 }
 
 // withDefaults fills unset options and normalizes the default strategy.
@@ -101,9 +89,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.DefaultTimeout == 0 {
 		o.DefaultTimeout = 60 * time.Second
-	}
-	if o.RetryAfter == 0 {
-		o.RetryAfter = 1
 	}
 	strat, err := advisor.ParseStrategy(o.DefaultStrategy)
 	if err != nil {
@@ -197,10 +182,8 @@ func New(advisors map[string]*advisor.Advisor, opt Options, col *obs.Collector) 
 		jitter:     rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
 	s.slo = obs.NewSLOTracker(obs.SLOOptions{
-		Window:             opt.SLOWindow,
 		TargetP99:          opt.SLOTargetP99,
 		TargetAvailability: opt.SLOAvailability,
-		Now:                opt.SLONow,
 	})
 	col.AddScrapeHook(s.slo.Publish)
 	obs.RegisterRuntimeHealth(col)
@@ -220,15 +203,13 @@ func (s *Server) MarkReady() {
 // Ready reports whether MarkReady has run.
 func (s *Server) Ready() bool { return s.ready.Load() }
 
-// retryAfterSeconds computes one full-jitter Retry-After value: the base
-// doubles as the queue fills (exponent 0..4 over the depth/capacity ratio)
-// and the reply is uniform in [1, base<<k]. Randomizing the whole interval
-// — not just a fraction of it — is what decorrelates a synchronized herd:
-// clients that were rejected together retry spread across the window.
-func retryAfterSeconds(depth, queueCap, base int, intn func(int) int) int {
-	if base < 1 {
-		base = 1
-	}
+// retryAfterSeconds computes one full-jitter Retry-After value for 429/503
+// shed responses: a one-second base doubles as the queue fills (exponent
+// 0..4 over the depth/capacity ratio) and the reply is uniform in [1, 1<<k].
+// Randomizing the whole interval — not just a fraction of it — is what
+// decorrelates a synchronized herd: clients that were rejected together
+// retry spread across the window.
+func retryAfterSeconds(depth, queueCap int, intn func(int) int) int {
 	k := 0
 	if queueCap > 0 {
 		k = 4 * depth / queueCap
@@ -236,7 +217,7 @@ func retryAfterSeconds(depth, queueCap, base int, intn func(int) int) int {
 			k = 4
 		}
 	}
-	return 1 + intn(base<<k)
+	return 1 + intn(1<<k)
 }
 
 // retryAfter derives the Retry-After for one shed response from the current
@@ -244,7 +225,7 @@ func retryAfterSeconds(depth, queueCap, base int, intn func(int) int) int {
 func (s *Server) retryAfter() int {
 	s.jitterMu.Lock()
 	defer s.jitterMu.Unlock()
-	return retryAfterSeconds(s.pool.QueueDepth(), s.opt.QueueCap, s.opt.RetryAfter, s.jitter.Intn)
+	return retryAfterSeconds(s.pool.QueueDepth(), s.opt.QueueCap, s.jitter.Intn)
 }
 
 // Collector exposes the server's telemetry (the /metrics backing store).

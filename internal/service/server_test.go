@@ -376,18 +376,18 @@ func saturate(t *testing.T, s *Server, m *blockingMeasurer) *sync.WaitGroup {
 // TestQueueFull429 fills the single worker and the one-slot queue, then
 // verifies the next distinct request is shed with 429 + Retry-After.
 func TestQueueFull429(t *testing.T) {
-	s, m := blockingServer(t, Options{Workers: 1, QueueCap: 1, RetryAfter: 7})
+	s, m := blockingServer(t, Options{Workers: 1, QueueCap: 1})
 	running := saturate(t, s, m)
 	rr := doJSON(t, s, "POST", "/v1/rank", RankRequest{Kernel: "fft", TopK: 3})
 	if rr.Code != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429: %s", rr.Code, rr.Body.String())
 	}
-	// Retry-After is full-jitter over the queue-scaled base: with base 7
-	// and a full one-slot queue the exponent is maxed, so the value lands
-	// in [1, 7<<4]. Exact values vary by design; the bounds must hold.
+	// Retry-After is full-jitter over the queue-scaled one-second base:
+	// with a full one-slot queue the exponent is maxed, so the value lands
+	// in [1, 1<<4]. Exact values vary by design; the bounds must hold.
 	ra, err := strconv.Atoi(rr.Header().Get("Retry-After"))
-	if err != nil || ra < 1 || ra > 7<<4 {
-		t.Fatalf("Retry-After %q outside jitter bounds [1,%d]", rr.Header().Get("Retry-After"), 7<<4)
+	if err != nil || ra < 1 || ra > 1<<4 {
+		t.Fatalf("Retry-After %q outside jitter bounds [1,%d]", rr.Header().Get("Retry-After"), 1<<4)
 	}
 	if counterVal(s, obs.MetricServiceRejectedTotal) == 0 {
 		t.Fatal("service_rejected_total not incremented")

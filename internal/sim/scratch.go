@@ -12,8 +12,7 @@ import (
 // hierarchy, per-SM caches, the event-driven DRAM system, and the warp
 // scheduling arrays. Building it from scratch costs ~9MB and ~100k
 // allocations per run, so completed runs return theirs to a pool keyed by
-// (config, mapping) and the next run on the same architecture resets and
-// reuses it.
+// config and the next run on the same architecture resets and reuses it.
 type runScratch struct {
 	hier       *memsys.Hierarchy
 	smCaches   []*memsys.SMCaches
@@ -28,27 +27,18 @@ type runScratch struct {
 	dram       []uint64 // one access's DRAM lines, reused across accesses
 }
 
-// scratchKey identifies the architecture a pooled scratch was built for.
-// Config is keyed by pointer: the advisor and experiment layers thread one
-// *gpu.Config through every simulator they build, and two distinct Config
-// values simply maintain separate pools. Mapping is a comparable value
-// struct, so a Simulator with a substituted mapping never reuses a default
-// one's DRAM system.
-type scratchKey struct {
-	cfg     *gpu.Config
-	mapping dram.Mapping
-}
-
-// scratchPools maps scratchKey to a *sync.Pool of *runScratch.
+// scratchPools maps the architecture a pooled scratch was built for to a
+// *sync.Pool of *runScratch. Config is keyed by pointer: the advisor and
+// experiment layers thread one *gpu.Config through every simulator they
+// build, and two distinct Config values simply maintain separate pools.
 var scratchPools sync.Map
 
 // getScratch returns run scratch for the architecture, reset and ready:
 // either a pooled one or a freshly built one.
-func getScratch(cfg *gpu.Config, mapping dram.Mapping) *runScratch {
-	key := scratchKey{cfg: cfg, mapping: mapping}
-	p, ok := scratchPools.Load(key)
+func getScratch(cfg *gpu.Config) *runScratch {
+	p, ok := scratchPools.Load(cfg)
 	if !ok {
-		p, _ = scratchPools.LoadOrStore(key, &sync.Pool{})
+		p, _ = scratchPools.LoadOrStore(cfg, &sync.Pool{})
 	}
 	if sc, ok := p.(*sync.Pool).Get().(*runScratch); ok {
 		sc.reset()
@@ -57,7 +47,7 @@ func getScratch(cfg *gpu.Config, mapping dram.Mapping) *runScratch {
 	sc := &runScratch{
 		hier:       memsys.NewHierarchy(cfg),
 		smCaches:   make([]*memsys.SMCaches, cfg.SMs),
-		dramSys:    dram.NewSystem(cfg.DRAM, mapping),
+		dramSys:    dram.NewSystem(cfg.DRAM, dram.DefaultMapping(cfg.DRAM)),
 		smQueue:    make([][]int, cfg.SMs),
 		smQHead:    make([]int, cfg.SMs),
 		smResident: make([]int, cfg.SMs),
@@ -70,8 +60,8 @@ func getScratch(cfg *gpu.Config, mapping dram.Mapping) *runScratch {
 }
 
 // putScratch returns scratch to its architecture's pool.
-func putScratch(cfg *gpu.Config, mapping dram.Mapping, sc *runScratch) {
-	p, ok := scratchPools.Load(scratchKey{cfg: cfg, mapping: mapping})
+func putScratch(cfg *gpu.Config, sc *runScratch) {
+	p, ok := scratchPools.Load(cfg)
 	if ok {
 		p.(*sync.Pool).Put(sc)
 	}

@@ -75,7 +75,8 @@ type Measurement struct {
 
 	// InterArrivals holds the DRAM request inter-arrival gaps (ns, in
 	// request-issue order) when Simulator.CollectArrivals is set; the Fig 4
-	// study's raw data. BankCaMean/Std are the per-bank c_a statistics.
+	// study's raw data. BankCaMean/Std are the per-bank c_a statistics,
+	// computed by dram.Analyzer, the model's per-bank statistics code.
 	InterArrivals         []float64
 	BankCaMean, BankCaStd float64
 }
@@ -83,8 +84,7 @@ type Measurement struct {
 // Simulator holds reusable configuration for measuring many placements of
 // many kernels.
 type Simulator struct {
-	Cfg     *gpu.Config
-	Mapping dram.Mapping
+	Cfg *gpu.Config
 
 	// CollectArrivals enables DRAM inter-arrival collection (Fig 4).
 	CollectArrivals bool
@@ -95,9 +95,10 @@ type Simulator struct {
 	Recorder obs.Recorder
 }
 
-// New builds a simulator with the architecture's default address mapping.
+// New builds a simulator for the architecture; its DRAM system uses the
+// address mapping derived from the topology (dram.DefaultMapping).
 func New(cfg *gpu.Config) *Simulator {
-	return &Simulator{Cfg: cfg, Mapping: dram.DefaultMapping(cfg.DRAM)}
+	return &Simulator{Cfg: cfg}
 }
 
 // instruction latencies in cycles by op class; a barrier retires at issue.
@@ -229,8 +230,8 @@ func (s *Simulator) RunContext(ctx context.Context, t *trace.Trace, sample, targ
 	// arrays — comes from a per-architecture pool; runs are deterministic
 	// regardless of whether the scratch is fresh or reused (reset restores
 	// the freshly-built state exactly). Returned on every exit path.
-	sc := getScratch(s.Cfg, s.Mapping)
-	defer putScratch(s.Cfg, s.Mapping, sc)
+	sc := getScratch(s.Cfg)
+	defer putScratch(s.Cfg, sc)
 	hier := sc.hier
 	smCaches := sc.smCaches
 	dramSys := sc.dramSys
@@ -263,6 +264,12 @@ func (s *Simulator) RunContext(ctx context.Context, t *trace.Trace, sample, targ
 	nsPerCycle := s.Cfg.NSPerCycle()
 	var arrivals []float64
 	lastArrival := -1.0
+	// Per-bank arrival statistics for Fig 4 go through the model's analyzer,
+	// so c_a has one definition; built only when arrivals are collected.
+	var banks *dram.Analyzer
+	if s.CollectArrivals {
+		banks = dram.NewAnalyzer(s.Cfg.DRAM, dram.DefaultMapping(s.Cfg.DRAM), dram.Mapped)
+	}
 
 	// Recording is hoisted out of the loop: with no recorder the per-step
 	// cost is a single predicted branch and zero allocations (pinned by
@@ -381,6 +388,7 @@ func (s *Simulator) RunContext(ctx context.Context, t *trace.Trace, sample, targ
 							arrivals = append(arrivals, gap)
 						}
 						lastArrival = stNS
+						banks.Add(line, stNS)
 					}
 					dr := dramSys.Service(line, stNS)
 					latNS := dr.Latency(stNS)
@@ -457,7 +465,7 @@ func (s *Simulator) RunContext(ctx context.Context, t *trace.Trace, sample, targ
 	}
 	if s.CollectArrivals {
 		m.InterArrivals = arrivals
-		m.BankCaMean, m.BankCaStd = dramSys.MeanCa()
+		m.BankCaMean, m.BankCaStd = banks.MeanCa()
 	}
 	if m.TimeNS <= 0 {
 		return nil, fmt.Errorf("sim: non-positive time for %s", t.Kernel)

@@ -12,6 +12,7 @@
 package trace
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -216,6 +217,17 @@ func invalidf(format string, args ...any) error {
 // and every barrier record has Count 1 (one barrier, one issue slot).
 // All failures wrap hmserr.ErrInvalidTrace.
 func (t *Trace) Validate() error {
+	return t.ValidateContext(context.Background())
+}
+
+// validateCtxInterval is how many warps ValidateContext checks between
+// context polls.
+const validateCtxInterval = 64
+
+// ValidateContext is Validate with cancellation: validating a large trace
+// takes tens of milliseconds, so the warp loop polls the context every
+// validateCtxInterval warps and returns ctx.Err() once it is done.
+func (t *Trace) ValidateContext(ctx context.Context) error {
 	if t.Launch.WarpSize <= 0 || t.Launch.WarpSize > 1024 {
 		return invalidf("trace %s: warp size %d", t.Kernel, t.Launch.WarpSize)
 	}
@@ -241,6 +253,11 @@ func (t *Trace) Validate() error {
 		}
 	}
 	for wi := range t.Warps {
+		if wi%validateCtxInterval == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
 		for ii := range t.Warps[wi].Inst {
 			in := &t.Warps[wi].Inst[ii]
 			if in.Op.IsMem() {

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -75,6 +77,20 @@ func TestBuilderProducesValidTrace(t *testing.T) {
 	}
 	if len(tr.Warps) != 4 {
 		t.Errorf("warps = %d", len(tr.Warps))
+	}
+}
+
+// TestValidateContextCanceled checks that validation stops on a canceled
+// context even when the trace itself is valid.
+func TestValidateContextCanceled(t *testing.T) {
+	tr := buildSmall(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := tr.ValidateContext(ctx); !errors.Is(err, context.Canceled) {
+		t.Errorf("canceled context: got %v, want context.Canceled", err)
+	}
+	if err := tr.ValidateContext(context.Background()); err != nil {
+		t.Errorf("live context: %v", err)
 	}
 }
 

@@ -5,7 +5,8 @@
 # a guard keeping advisor.PredictorContext the one profiling path of serving
 # code, a guard keeping advisor.Search the one evaluation loop of hmsplace, a
 # guard keeping internal/memsys the one writer of the memory-event counters
-# shared by the model and the simulator, vet and
+# shared by the model and the simulator, a guard keeping one DRAM model per
+# side (c_a defined once, in dram.Analyzer; no Mapping setting), vet and
 # test of the perfbench benchmark module, the full test suite under the race
 # detector, the placement-space walk and resolution-kernel oracle fuzz seeds
 # under race, one-pass benchmark smokes of parallel ranking, delta evaluation,
@@ -114,6 +115,23 @@ folded=$(go list ./... | grep -E '^gpuhms/internal/(replay|sharedmem)$' || true)
 if [ -n "$folded" ]; then
     echo "verify: replay accounting outside internal/memsys:" >&2
     echo "$folded" >&2
+    exit 1
+fi
+
+echo "== one DRAM model"
+# internal/dram holds one DRAM model per side: dram.System is the
+# simulator's timing model, dram.Analyzer computes every per-bank statistic,
+# so the c_a arithmetic (MeanCa) is defined once, in internal/dram/analyze.go,
+# and read only by the simulator's Fig 4 collection. Model and simulator use
+# the mapping derived from the topology; neither carries a Mapping setting.
+dramdup=$( (git grep --untracked -n -E 'func (\([^)]*\) )?MeanCa\(' -- '*.go' ':!*_test.go' \
+        ':!internal/dram/analyze.go' || true
+    git grep --untracked -n -F '.MeanCa(' -- '*.go' ':!*_test.go' ':!internal/dram' ':!internal/sim' || true
+    git grep --untracked -n -E '^[[:space:]]*Mapping[[:space:]]+dram\.Mapping' -- \
+        'internal/core/*.go' 'internal/sim/*.go' ':!*_test.go' || true) )
+if [ -n "$dramdup" ]; then
+    echo "verify: a second DRAM statistic or mapping setting beside internal/dram's Analyzer:" >&2
+    echo "$dramdup" >&2
     exit 1
 fi
 
