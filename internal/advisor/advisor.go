@@ -216,12 +216,8 @@ func (a *Advisor) PredictorContext(ctx context.Context, t *trace.Trace, sample *
 	if t == nil {
 		return nil, hmserr.Wrap(hmserr.ErrInvalidTrace, "nil trace")
 	}
-	// A canceled request does no work: validating a large trace costs tens
-	// of milliseconds, so the context is checked first and polled during
-	// validation.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+	// Validating a large trace costs tens of milliseconds, so it polls the
+	// context: a canceled request stops there, before any profiling.
 	if err := t.ValidateContext(ctx); err != nil {
 		return nil, err
 	}

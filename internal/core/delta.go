@@ -402,7 +402,7 @@ func newMergeScratch(cfg *gpu.Config, mode dram.DistributionMode) *mergeScratch 
 	return &mergeScratch{
 		hier:      memsys.NewHierarchy(cfg),
 		sm:        memsys.NewSMCaches(cfg),
-		an:        dram.NewAnalyzer(cfg.DRAM, dram.DefaultMapping(cfg.DRAM), mode),
+		an:        dram.NewAnalyzer(cfg.DRAM, mode),
 		sumCounts: make([]int32, cache.NewIndexer(cfg.L2).NumSets()),
 	}
 }

@@ -55,13 +55,14 @@ type Analyzer struct {
 // considered one batch: a gap the server cannot even start a service in.
 func (a *Analyzer) batchThreshold() float64 { return a.topo.BusyHitNS }
 
-// NewAnalyzer builds an analyzer for the topology/mapping.
-func NewAnalyzer(topo gpu.DRAMTopology, m Mapping, mode DistributionMode) *Analyzer {
+// NewAnalyzer builds an analyzer for the topology, placing requests with
+// the topology's default address mapping.
+func NewAnalyzer(topo gpu.DRAMTopology, mode DistributionMode) *Analyzer {
 	nb := topo.TotalBanks()
 	nc := topo.Controllers
 	return &Analyzer{
 		topo:       topo,
-		mapping:    m,
+		mapping:    DefaultMapping(topo),
 		mode:       mode,
 		rows:       make([]RowBuffer, nb),
 		counts:     make([]OutcomeCounts, nb),

@@ -243,7 +243,7 @@ func TestSystemCountsAndReset(t *testing.T) {
 func TestAnalyzerMatchesManualReplay(t *testing.T) {
 	tp := topo()
 	m := DefaultMapping(tp)
-	a := NewAnalyzer(tp, m, Mapped)
+	a := NewAnalyzer(tp, Mapped)
 	// Same bank, same row, then different row: miss, hit, conflict.
 	rowStride := uint64(1) << m.RowLo
 	if got := a.Add(0, 0); got != Miss {
@@ -278,7 +278,7 @@ func TestAnalyzerMatchesManualReplay(t *testing.T) {
 
 func TestAnalyzerEvenModeSpreadsRoundRobin(t *testing.T) {
 	tp := topo()
-	a := NewAnalyzer(tp, DefaultMapping(tp), Even)
+	a := NewAnalyzer(tp, Even)
 	// All requests to the same address: in Even mode they round-robin over
 	// banks, so every one is a first-touch miss until wraparound.
 	for i := 0; i < tp.TotalBanks(); i++ {
@@ -293,7 +293,7 @@ func TestAnalyzerEvenModeSpreadsRoundRobin(t *testing.T) {
 
 func TestAnalyzerBatchDetection(t *testing.T) {
 	tp := topo()
-	a := NewAnalyzer(tp, DefaultMapping(tp), Mapped)
+	a := NewAnalyzer(tp, Mapped)
 	// Four same-bank requests in one burst, then four in a later burst:
 	// batch size must be about 4.
 	for burst := 0; burst < 2; burst++ {
@@ -314,7 +314,7 @@ func TestAnalyzerBatchDetection(t *testing.T) {
 func TestAnalyzerCtlStreams(t *testing.T) {
 	tp := topo()
 	m := DefaultMapping(tp)
-	a := NewAnalyzer(tp, m, Mapped)
+	a := NewAnalyzer(tp, Mapped)
 	bankStride := uint64(1) << m.BankLo
 	for i := 0; i < 12; i++ {
 		a.Add(uint64(i)*bankStride, float64(i))
@@ -337,7 +337,7 @@ func TestAnalyzerCtlStreams(t *testing.T) {
 
 func TestMeanCa(t *testing.T) {
 	tp := topo()
-	a := NewAnalyzer(tp, DefaultMapping(tp), Mapped)
+	a := NewAnalyzer(tp, Mapped)
 	// Regular arrivals on one bank: c_a ≈ 0.
 	for i := 0; i < 50; i++ {
 		a.Add(uint64(i%4)*32, float64(i)*100)

@@ -60,7 +60,7 @@ func TestAnalyzerTallyConsistency(t *testing.T) {
 		if seed%2 == 0 {
 			mode = Even
 		}
-		a := NewAnalyzer(tp, DefaultMapping(tp), mode)
+		a := NewAnalyzer(tp, mode)
 		n := 50 + r.Intn(500)
 		for i := 0; i < n; i++ {
 			a.Add(uint64(r.Intn(1<<24)), float64(i)*3)
@@ -102,7 +102,7 @@ func TestSlowerArrivalsLowerUtilization(t *testing.T) {
 		addrs[i] = uint64(r.Intn(1 << 22))
 	}
 	util := func(scale float64) float64 {
-		a := NewAnalyzer(tp, DefaultMapping(tp), Mapped)
+		a := NewAnalyzer(tp, Mapped)
 		for i, addr := range addrs {
 			a.Add(addr, float64(i)*scale)
 		}

@@ -268,7 +268,7 @@ func (s *Simulator) RunContext(ctx context.Context, t *trace.Trace, sample, targ
 	// so c_a has one definition; built only when arrivals are collected.
 	var banks *dram.Analyzer
 	if s.CollectArrivals {
-		banks = dram.NewAnalyzer(s.Cfg.DRAM, dram.DefaultMapping(s.Cfg.DRAM), dram.Mapped)
+		banks = dram.NewAnalyzer(s.Cfg.DRAM, dram.Mapped)
 	}
 
 	// Recording is hoisted out of the loop: with no recorder the per-step

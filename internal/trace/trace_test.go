@@ -94,6 +94,44 @@ func TestValidateContextCanceled(t *testing.T) {
 	}
 }
 
+// cancelAfterFirstPoll is a context that is live on its first Err() call and
+// canceled from the second on.
+type cancelAfterFirstPoll struct {
+	context.Context
+	polls int
+}
+
+func (c *cancelAfterFirstPoll) Err() error {
+	c.polls++
+	if c.polls > 1 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestValidateContextPollsDuringWarps checks that validation keeps polling
+// the context while it walks the warps, not only on entry: a context
+// canceled after the first poll stops a trace of more than
+// validateCtxInterval warps at the second poll.
+func TestValidateContextPollsDuringWarps(t *testing.T) {
+	const blocks = 3 * validateCtxInterval
+	b := NewBuilder("k", Launch{Blocks: blocks, ThreadsPerBlock: 32, WarpSize: 32})
+	for blk := 0; blk < blocks; blk++ {
+		b.Warp(blk, 0).Int(1)
+	}
+	tr := b.MustBuild()
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	ctx := &cancelAfterFirstPoll{Context: context.Background()}
+	if err := tr.ValidateContext(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled after first poll: got %v, want context.Canceled", err)
+	}
+	if ctx.polls != 2 {
+		t.Errorf("polls = %d, want 2 (stop at the first poll after cancellation)", ctx.polls)
+	}
+}
+
 func TestBuilderMergesComputeRuns(t *testing.T) {
 	b := NewBuilder("k", Launch{Blocks: 1, ThreadsPerBlock: 32, WarpSize: 32})
 	wb := b.Warp(0, 0)
