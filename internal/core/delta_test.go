@@ -259,10 +259,12 @@ var contributionSink *contribution
 
 // BenchmarkBuildContribution measures the cold half of an evaluation: every
 // array's accesses resolved under the sample binding and under every legal
-// single-array move, on spmv (global, texture and constant streams) and on
-// histogram (a shared scratch updated by atomics). One op builds them all.
+// single-array move, on spmv (global, texture and constant streams, almost
+// every warp access shape used once), on histogram (a shared scratch updated
+// by atomics) and on mriq (regular tiles: few access shapes, many repeats).
+// One op builds them all.
 func BenchmarkBuildContribution(b *testing.B) {
-	for _, kernel := range []string{"spmv", "histogram"} {
+	for _, kernel := range []string{"spmv", "histogram", "mriq"} {
 		b.Run("k80/"+kernel, func(b *testing.B) {
 			cfg := gpu.KeplerK80()
 			spec := kernels.MustGet(kernel)

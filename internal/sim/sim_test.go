@@ -336,11 +336,12 @@ func TestPooledScratchReuse(t *testing.T) {
 }
 
 // BenchmarkSimRun measures one sample-profiling run of the simulator on K80:
-// spmv (global, texture and constant streams) and histogram (a shared
-// scratch updated by atomics).
+// spmv (global, texture and constant streams), histogram (a shared scratch
+// updated by atomics) and mriq (regular tiles: few access shapes, many
+// repeats).
 func BenchmarkSimRun(b *testing.B) {
 	cfg := gpu.KeplerK80()
-	for _, kernel := range []string{"spmv", "histogram"} {
+	for _, kernel := range []string{"spmv", "histogram", "mriq"} {
 		b.Run("k80/"+kernel, func(b *testing.B) {
 			spec := kernels.MustGet(kernel)
 			tr := spec.Trace(1)
