@@ -86,7 +86,7 @@ func main() {
 			in := &wt.Inst[ii]
 			if in.Op.IsMem() {
 				fmt.Printf("  %-4s %-12s lanes=%d first=%d\n",
-					in.Op, tr.Arrays[in.Array].Name, in.ActiveLanes(), firstActive(in))
+					in.Op, tr.Arrays[in.Array].Name, tr.ActiveLanes(in), firstActive(tr, in))
 			} else {
 				fmt.Printf("  %-4s x%d\n", in.Op, in.Count)
 			}
@@ -108,11 +108,11 @@ func main() {
 	}
 }
 
-func firstActive(in *trace.Inst) int64 {
-	for _, ix := range in.Index {
-		if ix != trace.Inactive {
-			return ix
-		}
+// firstActive returns the element index of a memory instruction's first
+// active lane, or -1 when no lane is active.
+func firstActive(tr *trace.Trace, in *trace.Inst) int64 {
+	if tr.ActiveLanes(in) == 0 {
+		return -1
 	}
-	return -1
+	return in.First
 }

@@ -164,8 +164,8 @@ func TestKernelStructuralProperties(t *testing.T) {
 		// Adjacent lanes within a row of the tile are a full matrix column
 		// apart after transposition.
 		dim := tr.Arrays[0].Width
-		if store.Index[1]-store.Index[0] != int64(dim) {
-			t.Errorf("store lane stride = %d, want %d", store.Index[1]-store.Index[0], dim)
+		if idx := tr.Lanes(store, nil); idx[1]-idx[0] != int64(dim) {
+			t.Errorf("store lane stride = %d, want %d", idx[1]-idx[0], dim)
 		}
 	})
 
@@ -176,8 +176,8 @@ func TestKernelStructuralProperties(t *testing.T) {
 		for i := range tr.Warps[0].Inst {
 			in := &tr.Warps[0].Inst[i]
 			if in.Op == trace.OpLoad && in.Array == wID {
-				if in.Index[1]-in.Index[0] != nIn {
-					t.Errorf("weights lane stride = %d, want %d", in.Index[1]-in.Index[0], nIn)
+				if idx := tr.Lanes(in, nil); idx[1]-idx[0] != nIn {
+					t.Errorf("weights lane stride = %d, want %d", idx[1]-idx[0], nIn)
 				}
 				return
 			}
@@ -193,7 +193,7 @@ func TestKernelStructuralProperties(t *testing.T) {
 			in := &tr.Warps[0].Inst[i]
 			if in.Op == trace.OpStore && in.Array == sID {
 				// Stride-8 words on 32 banks → multi-way conflicts.
-				if (in.Index[1]-in.Index[0])%8 == 0 && in.Index[1] != in.Index[0] {
+				if idx := tr.Lanes(in, nil); (idx[1]-idx[0])%8 == 0 && idx[1] != idx[0] {
 					found = true
 				}
 				break
@@ -210,9 +210,8 @@ func TestKernelStructuralProperties(t *testing.T) {
 		for i := range tr.Warps[0].Inst {
 			in := &tr.Warps[0].Inst[i]
 			if in.Op == trace.OpLoad && in.Array == nlID {
-				if in.Index[1]-in.Index[0] != 1 {
-					t.Errorf("neighList loads should be unit stride, got %d",
-						in.Index[1]-in.Index[0])
+				if idx := tr.Lanes(in, nil); idx[1]-idx[0] != 1 {
+					t.Errorf("neighList loads should be unit stride, got %d", idx[1]-idx[0])
 				}
 				return
 			}
@@ -234,8 +233,9 @@ func TestKernelStructuralProperties(t *testing.T) {
 		for i := range tr.Warps[0].Inst {
 			in := &tr.Warps[0].Inst[i]
 			if in.Op == trace.OpLoad && in.Array == kID {
+				idx := tr.Lanes(in, nil)
 				for l := 1; l < 32; l++ {
-					if in.Index[l] != in.Index[0] {
+					if idx[l] != idx[0] {
 						t.Fatal("filter load should broadcast one element")
 					}
 				}

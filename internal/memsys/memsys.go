@@ -94,26 +94,21 @@ func NewBinding(cfg *gpu.Config, t *trace.Trace, sample *placement.Placement, sa
 //
 // The space and the array's constants (element size, base or shared offset,
 // shared tile length) are fixed per instruction, so they are resolved once
-// and each lane costs a multiply-add; the shared tile wrap divides only for
-// lanes beyond the first tile.
+// and each lane costs a multiply-add on its offset in the lane pattern; the
+// shared tile wrap divides only for lanes beyond the first tile.
 func (b *Binding) Addresses(in *trace.Inst, buf []uint64) []uint64 {
 	id := in.Array
 	arr := b.Trace.Array(id)
+	rels := b.Trace.Patterns[in.Pattern].Rel
 	eb := uint64(arr.Type.Bytes())
 	out := buf[:0]
 	switch b.Place.Of(id).Base() {
 	case gpu.Shared:
 		// Layout.SharedAddress with the tile length hoisted.
 		off := b.Layout.SharedOff[id]
-		elems := uint64(placement.SharedFootprint(b.Trace, id)) / eb
-		if elems == 0 {
-			elems = 1
-		}
-		for _, ix := range in.Index {
-			if ix == trace.Inactive {
-				continue
-			}
-			local := uint64(ix)
+		elems := b.sharedElems(id)
+		for _, rel := range rels {
+			local := uint64(in.First + rel)
 			if local >= elems {
 				local %= elems
 			}
@@ -121,32 +116,116 @@ func (b *Binding) Addresses(in *trace.Inst, buf []uint64) []uint64 {
 		}
 	case gpu.Texture2D:
 		base := b.Layout.Base[id]
-		for _, ix := range in.Index {
-			if ix == trace.Inactive {
-				continue
-			}
-			out = append(out, base+uint64(cache.Swizzle2D(ix, arr.Width, b.Tex2DShift))*eb)
+		for _, rel := range rels {
+			out = append(out, base+uint64(cache.Swizzle2D(in.First+rel, arr.Width, b.Tex2DShift))*eb)
 		}
 	default:
-		base := b.Layout.Base[id]
-		for _, ix := range in.Index {
-			if ix == trace.Inactive {
-				continue
-			}
-			out = append(out, base+uint64(ix)*eb)
+		first := b.Layout.Base[id] + uint64(in.First)*eb
+		for _, rel := range rels {
+			out = append(out, first+uint64(rel)*eb)
 		}
 	}
 	return out
 }
 
-// Scratch holds the reusable per-caller buffers of ResolveScratch: resolved
-// addresses and coalesced line sets. One Scratch serves one caller's whole
-// replay loop; the zero value is ready to use and the buffers grow to the
-// high-water mark of the trace.
+// sharedElems returns the length in elements of one block's shared tile of
+// array id; element indices wrap modulo it.
+func (b *Binding) sharedElems(id trace.ArrayID) uint64 {
+	eb := uint64(b.Trace.Array(id).Type.Bytes())
+	return max(uint64(placement.SharedFootprint(b.Trace, id))/eb, 1)
+}
+
+// Scratch holds the reusable per-caller state of ResolveScratch: resolved
+// addresses, coalesced line sets, and the memo of resolved lane patterns.
+// One Scratch serves one caller's whole replay loop; the zero value is ready
+// to use and the buffers grow to the high-water mark of the trace.
 type Scratch struct {
 	addrs []uint64
 	lines []uint64
 	words []uint64
+	memo  memo
+}
+
+// Reset empties the memo and forgets the trace it was filled for, keeping
+// the storage: a pooled Scratch is reset before it is put away, so it pins
+// no trace.
+func (sc *Scratch) Reset() { sc.memo.reset(nil, nil) }
+
+// memo caches resolutions by (lane pattern, base space, residue). Two
+// accesses with the same pattern whose first lane's byte offset agrees
+// modulo the line size L (for shared memory, modulo one row of banks) touch
+// the same lines up to a shift: with off = q·L + r, every lane's line is
+// ⌊(q·L + r + x)/L⌋ = q + ⌊(r + x)/L⌋ lines from zero. So they coalesce into
+// the same transactions, conflict on the same banks and replay alike, and
+// an entry keeps its lines relative to the aligned base q·L.
+//
+// Pattern ids are only meaningful within one trace and entries only under
+// one geometry, so the memo empties whenever either changes.
+type memo struct {
+	tr      *trace.Trace
+	cfg     *gpu.Config
+	index   map[uint64]int32 // key → entries index; -1 when seen once
+	entries []memoEntry
+	lines   []uint64 // every entry's lines, relative to its aligned base
+}
+
+// memoEntry is one memoized resolution: the Resolved without Space and
+// Lines, and its relative lines memo.lines[lo:hi].
+type memoEntry struct {
+	res    Resolved
+	lo, hi int32
+}
+
+func (m *memo) reset(tr *trace.Trace, cfg *gpu.Config) {
+	m.tr, m.cfg = tr, cfg
+	clear(m.index)
+	m.entries = m.entries[:0]
+	m.lines = m.lines[:0]
+}
+
+// memoKey returns the memo key of an access and the aligned base its lines
+// are relative to. ok is false when the access resolves lane by lane: a 2D
+// texture (the swizzle is not a shift), a shared access whose lanes straddle
+// a wrap of the tile, a warp with no active lane, or a pattern the trace uses
+// once (there is nothing to reuse, which keeps irregular kernels off the
+// memo).
+func (h *Hierarchy) memoKey(b *Binding, in *trace.Inst, sp gpu.MemSpace) (key, base uint64, ok bool) {
+	p := &b.Trace.Patterns[in.Pattern]
+	if p.Uses < 2 || len(p.Rel) == 0 {
+		return 0, 0, false
+	}
+	id := in.Array
+	first := in.First
+	var off uint64
+	var span int
+	switch sp.Base() {
+	case gpu.Global:
+		off, span = b.Layout.Base[id], h.Cfg.TransactionBytes
+	case gpu.Constant:
+		off, span = b.Layout.Base[id], h.Cfg.Constant.LineBytes
+	case gpu.Texture1D:
+		off, span = b.Layout.Base[id], h.Cfg.Texture.LineBytes
+	case gpu.Shared:
+		// Indices wrap modulo the tile length. Lanes within one tile period
+		// q wrap alike, so the access is the unwrapped one at first − q·elems;
+		// lanes straddling two periods resolve lane by lane.
+		elems := int64(b.sharedElems(id))
+		lo := first + p.MinRel
+		q := lo / elems
+		if lo < 0 || first+p.MaxRel >= (q+1)*elems {
+			return 0, 0, false
+		}
+		first -= q * elems
+		off, span = b.Layout.SharedOff[id], h.Cfg.SharedBanks*h.Cfg.SharedBankBytes
+	default:
+		return 0, 0, false
+	}
+	if span > 1<<24 {
+		return 0, 0, false
+	}
+	off += uint64(first) * uint64(b.Trace.Array(id).Type.Bytes())
+	r := off & uint64(span-1)
+	return uint64(uint32(in.Pattern))<<32 | uint64(sp.Base())<<24 | r, off - r, true
 }
 
 // Reset clears all cache state in the hierarchy (not the per-SM caches).
@@ -192,8 +271,59 @@ type Resolved struct {
 // instruction: addresses, coalescing, and static replays, with the
 // first-level line stream left unprobed. It reads no cache state, so it is
 // safe to call concurrently on a shared Hierarchy (unlike ProbeLines).
+//
+// An access whose lane pattern recurs is looked up in the Scratch's memo
+// (see memo) and, on a miss, resolved lane by lane and recorded; the result
+// is the same either way.
 func (h *Hierarchy) ResolveScratch(b *Binding, in *trace.Inst, sc *Scratch) Resolved {
 	sp := b.Place.Of(in.Array)
+	key, base, memoize := h.memoKey(b, in, sp)
+	if !memoize {
+		return h.resolve(b, in, sp, sc)
+	}
+	m := &sc.memo
+	if m.tr != b.Trace || m.cfg != h.Cfg {
+		m.reset(b.Trace, h.Cfg)
+	}
+	e, seen := m.index[key]
+	if seen && e >= 0 {
+		ent := &m.entries[e]
+		res := ent.res
+		res.Space = sp
+		if ent.hi > ent.lo {
+			lines := sc.lines[:0]
+			for _, ln := range m.lines[ent.lo:ent.hi] {
+				lines = append(lines, base+ln)
+			}
+			sc.lines = lines
+			res.Lines = lines
+		}
+		return res
+	}
+	res := h.resolve(b, in, sp, sc)
+	if m.index == nil {
+		m.index = make(map[uint64]int32)
+	}
+	if !seen {
+		// A key is recorded on its second sighting: most keys of irregular
+		// kernels never come back, and recording them would cost more than
+		// the memo saves.
+		m.index[key] = -1
+		return res
+	}
+	ent := memoEntry{res: res, lo: int32(len(m.lines))}
+	for _, ln := range res.Lines {
+		m.lines = append(m.lines, ln-base)
+	}
+	ent.hi = int32(len(m.lines))
+	ent.res.Lines = nil
+	m.index[key] = int32(len(m.entries))
+	m.entries = append(m.entries, ent)
+	return res
+}
+
+// resolve is ResolveScratch lane by lane.
+func (h *Hierarchy) resolve(b *Binding, in *trace.Inst, sp gpu.MemSpace, sc *Scratch) Resolved {
 	res := Resolved{Space: sp}
 	addrs := b.Addresses(in, sc.addrs)
 	sc.addrs = addrs

@@ -24,7 +24,7 @@ func refAddresses(b *Binding, in *trace.Inst) []uint64 {
 	sp := b.Place.Of(in.Array)
 	arr := b.Trace.Array(in.Array)
 	var out []uint64
-	for _, ix := range in.Index {
+	for _, ix := range b.Trace.Lanes(in, nil) {
 		if ix == trace.Inactive {
 			continue
 		}
@@ -343,14 +343,14 @@ func FuzzResolveMatchesReference(f *testing.F) {
 					got.ReplayShared != want.ReplayShared || got.ReplayAtomic != want.ReplayAtomic ||
 					!slices.Equal(got.Lines, want.Lines) {
 					t.Fatalf("%s %s inst %d: ResolveScratch = %+v, reference %+v (lanes %v)",
-						cfg.Name, sp, i, got, want, in.Index)
+						cfg.Name, sp, i, got, want, tr.Lanes(in, nil))
 				}
 				var ev perf.Events
 				dram = countAccess(h, sm, b, in, &scAcc, dram, &ev)
 				wantEv, wantDRAM := refAccess(hRef, smRef, b, in)
 				if ev != wantEv || !slices.Equal(dram, wantDRAM) {
 					t.Fatalf("%s %s inst %d: counted %+v DRAM %v, reference %+v DRAM %v (lanes %v)",
-						cfg.Name, sp, i, ev, dram, wantEv, wantDRAM, in.Index)
+						cfg.Name, sp, i, ev, dram, wantEv, wantDRAM, tr.Lanes(in, nil))
 				}
 			}
 		}

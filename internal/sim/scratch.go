@@ -59,10 +59,13 @@ func getScratch(cfg *gpu.Config) *runScratch {
 	return sc
 }
 
-// putScratch returns scratch to its architecture's pool.
+// putScratch returns scratch to its architecture's pool. The resolution
+// memo is emptied first: its pattern ids belong to the run's trace, which
+// the pooled scratch must not keep alive.
 func putScratch(cfg *gpu.Config, sc *runScratch) {
 	p, ok := scratchPools.Load(cfg)
 	if ok {
+		sc.mem.Reset()
 		p.(*sync.Pool).Put(sc)
 	}
 }

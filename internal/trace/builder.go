@@ -1,6 +1,10 @@
 package trace
 
-import "gpuhms/internal/hmserr"
+import (
+	"slices"
+
+	"gpuhms/internal/hmserr"
+)
 
 // Builder incrementally constructs a Trace. It is the API workload
 // generators use to emit per-warp instruction streams.
@@ -13,6 +17,8 @@ type Builder struct {
 	t        *Trace
 	warpSize int
 	err      error
+	patterns interner
+	lanes    []int64 // scratch lane vector of the emission helpers
 }
 
 // NewBuilder starts a trace for the named kernel.
@@ -127,10 +133,24 @@ func (w *WarpBuilder) mem(op Op, a ArrayID, idx []int64) *WarpBuilder {
 			len(idx), w.warpSize)
 		return w
 	}
-	cp := make([]int64, len(idx))
-	copy(cp, idx)
-	w.w.Inst = append(w.w.Inst, Inst{Op: op, Count: 1, Array: a, Index: cp})
+	pat, first := w.owner.patterns.intern(w.owner.t, a, op, idx)
+	w.w.Inst = append(w.w.Inst, Inst{Op: op, Count: 1, Array: a, Pattern: pat, First: first})
 	return w
+}
+
+// strided returns the builder's scratch lane vector with lane L set to
+// base + L*stride for L < active and Inactive beyond.
+func (w *WarpBuilder) strided(base, stride int64, active int) []int64 {
+	idx := slices.Grow(w.owner.lanes[:0], w.warpSize)[:w.warpSize]
+	w.owner.lanes = idx
+	for l := range idx {
+		if l < active {
+			idx[l] = base + int64(l)*stride
+		} else {
+			idx[l] = Inactive
+		}
+	}
+	return idx
 }
 
 // Load emits a warp load of array a with the given per-lane element indices
@@ -153,52 +173,28 @@ func (w *WarpBuilder) Atomic(a ArrayID, idx []int64) *WarpBuilder {
 // LoadCoalesced emits a load where lane L accesses element base+L for lanes
 // [0, active).
 func (w *WarpBuilder) LoadCoalesced(a ArrayID, base int64, active int) *WarpBuilder {
-	return w.mem(OpLoad, a, Coalesced(w.warpSize, base, active))
+	return w.LoadStrided(a, base, 1, active)
 }
 
 // StoreCoalesced is the store counterpart of LoadCoalesced.
 func (w *WarpBuilder) StoreCoalesced(a ArrayID, base int64, active int) *WarpBuilder {
-	return w.mem(OpStore, a, Coalesced(w.warpSize, base, active))
+	return w.StoreStrided(a, base, 1, active)
 }
 
 // LoadBroadcast emits a load where every active lane reads the same element,
 // the access pattern constant memory is optimized for.
 func (w *WarpBuilder) LoadBroadcast(a ArrayID, elem int64, active int) *WarpBuilder {
-	idx := make([]int64, w.warpSize)
-	for l := range idx {
-		if l < active {
-			idx[l] = elem
-		} else {
-			idx[l] = Inactive
-		}
-	}
-	return w.mem(OpLoad, a, idx)
+	return w.LoadStrided(a, elem, 0, active)
 }
 
 // LoadStrided emits a load where lane L accesses base + L*stride.
 func (w *WarpBuilder) LoadStrided(a ArrayID, base, stride int64, active int) *WarpBuilder {
-	idx := make([]int64, w.warpSize)
-	for l := range idx {
-		if l < active {
-			idx[l] = base + int64(l)*stride
-		} else {
-			idx[l] = Inactive
-		}
-	}
-	return w.mem(OpLoad, a, idx)
+	return w.mem(OpLoad, a, w.strided(base, stride, active))
 }
 
 // StoreStrided is the store counterpart of LoadStrided.
 func (w *WarpBuilder) StoreStrided(a ArrayID, base, stride int64, active int) *WarpBuilder {
-	idx := make([]int64, w.warpSize)
-	for l := range idx {
-		if l < active {
-			idx[l] = base + int64(l)*stride
-		} else {
-			idx[l] = Inactive
-		}
-	}
-	return w.mem(OpStore, a, idx)
+	return w.mem(OpStore, a, w.strided(base, stride, active))
 }
 
 // Coalesced builds a unit-stride index vector: lane L gets base+L for

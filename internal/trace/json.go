@@ -9,8 +9,9 @@ import (
 // The JSON wire format for traces. Traces generated by other tools (e.g. a
 // real SASSI pass post-processed into this schema) can be imported, and
 // generated traces exported for inspection. Compute runs are stored with
-// their counts; memory instructions store the per-lane indices verbatim
-// (Inactive lanes as -1).
+// their counts; memory instructions store their absolute per-lane indices
+// (Inactive lanes as -1): WriteJSON expands lane patterns and ReadJSON
+// interns them again.
 
 type jsonTrace struct {
 	Kernel string      `json:"kernel"`
@@ -81,7 +82,7 @@ func WriteJSON(w io.Writer, t *Trace) error {
 			ji := jsonInst{Op: opNames[in.Op]}
 			if in.Op.IsMem() {
 				ji.Array = int(in.Array)
-				ji.Index = in.Index
+				ji.Index = t.Lanes(&in, nil)
 			} else {
 				ji.Count = in.Count
 			}
@@ -109,6 +110,7 @@ func ReadJSON(r io.Reader) (*Trace, error) {
 			Name: a.Name, Type: dt, Len: a.Len, Width: a.Width, ReadOnly: a.ReadOnly,
 		})
 	}
+	var patterns interner
 	for _, jw := range jt.Warps {
 		wt := WarpTrace{Block: jw.Block, Warp: jw.Warp}
 		for _, ji := range jw.Inst {
@@ -120,7 +122,7 @@ func ReadJSON(r io.Reader) (*Trace, error) {
 			if op.IsMem() {
 				in.Count = 1
 				in.Array = ArrayID(ji.Array)
-				in.Index = ji.Index
+				in.Pattern, in.First = patterns.intern(t, in.Array, op, ji.Index)
 			} else {
 				in.Count = ji.Count
 				if in.Count == 0 {

@@ -5,15 +5,22 @@
 // instruction trace and a memory trace, then *transforms* the memory trace
 // for each target placement (accommodating addressing-mode differences)
 // instead of re-running the kernel. This package makes that transformation
-// trivial by construction: memory references are recorded as
-// (array, element index per lane) rather than raw addresses. A data placement
-// later binds each array to a memory space and a base address, at which point
-// indices resolve to addresses.
+// trivial by construction: memory references are recorded as element
+// indices of an array rather than raw addresses. A data placement later binds
+// each array to a memory space and a base address, at which point indices
+// resolve to addresses.
+//
+// A warp access is stored compactly as an interned lane pattern (which lanes
+// are active and each one's offset from the first active lane) plus the first
+// active lane's element index: regular kernels issue the same few shapes at
+// many positions, so a trace holds a small pattern table instead of one index
+// slice per instruction, and resolution can be memoized per pattern.
 package trace
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"gpuhms/internal/hmserr"
@@ -138,26 +145,53 @@ const Inactive int64 = -1
 
 // Inst is one warp-level instruction. Compute instructions may carry
 // Count > 1 to represent a run of identical ops compactly. Memory
-// instructions carry the referenced array and one element index per lane
-// (Inactive for masked-off lanes).
+// instructions carry the referenced array, the id of their lane pattern in
+// the trace's Patterns, and the element index of the first active lane:
+// lane Active[k] of the pattern reads element First+Rel[k], every other lane
+// is Inactive. (*Trace).Lanes expands them.
 type Inst struct {
-	Op    Op
-	Count int     // repetition for compute ops; 1 for memory ops
-	Array ArrayID // valid when Op.IsMem()
-	Index []int64 // len == WarpSize when Op.IsMem(); element indices
+	Op      Op
+	Pattern int32   // memory ops: index into Trace.Patterns
+	Count   int     // repetition for compute ops; 1 for memory ops
+	Array   ArrayID // valid when Op.IsMem()
+	First   int64   // memory ops: first active lane's element index; 0 with none
+}
+
+// Pattern is one interned warp access shape: which lanes of a memory
+// instruction are active and where each points relative to the first active
+// lane. Memory instructions of one array and op with the same shape share a
+// Pattern, whatever their first index.
+type Pattern struct {
+	Lanes  int     // lane count (the warp size, in a valid trace)
+	Active []int32 // active lanes, ascending
+	Rel    []int64 // per active lane: element index minus the first active lane's
+	// MinRel and MaxRel are the extremes of Rel (both 0 with no active lane):
+	// an instruction's indices lie in [First+MinRel, First+MaxRel].
+	MinRel, MaxRel int64
+	Uses           int // memory instructions of the trace that reference it
+}
+
+// Lanes expands memory instruction in into one element index per lane
+// (Inactive for masked lanes), reusing dst's storage. It returns an empty
+// slice for a compute instruction.
+func (t *Trace) Lanes(in *Inst, dst []int64) []int64 {
+	if !in.Op.IsMem() {
+		return dst[:0]
+	}
+	p := &t.Patterns[in.Pattern]
+	out := slices.Grow(dst[:0], p.Lanes)[:p.Lanes]
+	for l := range out {
+		out[l] = Inactive
+	}
+	for k, l := range p.Active {
+		out[l] = in.First + p.Rel[k]
+	}
+	return out
 }
 
 // ActiveLanes returns the number of participating lanes of a memory
 // instruction.
-func (in *Inst) ActiveLanes() int {
-	n := 0
-	for _, ix := range in.Index {
-		if ix != Inactive {
-			n++
-		}
-	}
-	return n
-}
+func (t *Trace) ActiveLanes(in *Inst) int { return len(t.Patterns[in.Pattern].Active) }
 
 // WarpTrace is the instruction stream of one warp.
 type WarpTrace struct {
@@ -183,10 +217,11 @@ func (l Launch) TotalWarps() int { return l.Blocks * l.WarpsPerBlock() }
 
 // Trace is a complete placement-neutral kernel execution record.
 type Trace struct {
-	Kernel string
-	Launch Launch
-	Arrays []Array
-	Warps  []WarpTrace
+	Kernel   string
+	Launch   Launch
+	Arrays   []Array
+	Warps    []WarpTrace
+	Patterns []Pattern // the lane patterns memory instructions reference
 }
 
 // Array returns the declaration for id.
@@ -225,8 +260,12 @@ func (t *Trace) Validate() error {
 const validateCtxInterval = 64
 
 // ValidateContext is Validate with cancellation: validating a large trace
-// takes tens of milliseconds, so the warp loop polls the context every
+// takes milliseconds, so the warp loop polls the context every
 // validateCtxInterval warps and returns ctx.Err() once it is done.
+//
+// Each lane pattern is checked once; an instruction then costs a range check
+// of its first index against the pattern's extremes. Only an instruction that
+// fails it is expanded lane by lane, to name the offending lane.
 func (t *Trace) ValidateContext(ctx context.Context) error {
 	if t.Launch.WarpSize <= 0 || t.Launch.WarpSize > 1024 {
 		return invalidf("trace %s: warp size %d", t.Kernel, t.Launch.WarpSize)
@@ -252,6 +291,11 @@ func (t *Trace) ValidateContext(ctx context.Context) error {
 				t.Kernel, a.Name, a.Width, a.Len)
 		}
 	}
+	for pi := range t.Patterns {
+		if !t.Patterns[pi].wellFormed() {
+			return invalidf("trace %s: pattern %d is malformed", t.Kernel, pi)
+		}
+	}
 	for wi := range t.Warps {
 		if wi%validateCtxInterval == 0 {
 			if err := ctx.Err(); err != nil {
@@ -261,22 +305,30 @@ func (t *Trace) ValidateContext(ctx context.Context) error {
 		for ii := range t.Warps[wi].Inst {
 			in := &t.Warps[wi].Inst[ii]
 			if in.Op.IsMem() {
-				if len(in.Index) != t.Launch.WarpSize {
+				if in.Pattern < 0 || int(in.Pattern) >= len(t.Patterns) {
+					return invalidf("trace %s: warp %d inst %d: pattern %d out of range",
+						t.Kernel, wi, ii, in.Pattern)
+				}
+				p := &t.Patterns[in.Pattern]
+				if p.Lanes != t.Launch.WarpSize {
 					return invalidf("trace %s: warp %d inst %d: %d lane indices, warp size %d",
-						t.Kernel, wi, ii, len(in.Index), t.Launch.WarpSize)
+						t.Kernel, wi, ii, p.Lanes, t.Launch.WarpSize)
 				}
 				if int(in.Array) < 0 || int(in.Array) >= len(t.Arrays) {
 					return invalidf("trace %s: warp %d inst %d: array %d out of range",
 						t.Kernel, wi, ii, in.Array)
 				}
 				a := t.Arrays[in.Array]
-				for lane, ix := range in.Index {
-					if ix == Inactive {
-						continue
-					}
-					if ix < 0 || ix >= int64(a.Len) {
-						return invalidf("trace %s: warp %d inst %d lane %d: index %d out of [0,%d)",
-							t.Kernel, wi, ii, lane, ix, a.Len)
+				n := int64(a.Len)
+				// n is at most 2^40, so once First is in range neither
+				// bound can overflow.
+				if len(p.Rel) > 0 && !(in.First >= 0 && in.First < n &&
+					p.MinRel >= -in.First && p.MaxRel < n-in.First) {
+					for k, rel := range p.Rel {
+						if ix := in.First + rel; ix < 0 || ix >= n {
+							return invalidf("trace %s: warp %d inst %d lane %d: index %d out of [0,%d)",
+								t.Kernel, wi, ii, p.Active[k], ix, a.Len)
+						}
 					}
 				}
 				if (in.Op == OpStore || in.Op == OpAtomic) && a.ReadOnly {

@@ -172,7 +172,7 @@ func TestBuilderCopiesIndexSlices(t *testing.T) {
 	wb.Load(a, idx)
 	idx[0] = 63 // mutate after emission
 	tr := b.MustBuild()
-	if tr.Warps[0].Inst[0].Index[0] != 0 {
+	if tr.Lanes(&tr.Warps[0].Inst[0], nil)[0] != 0 {
 		t.Error("builder must copy index slices")
 	}
 }
@@ -228,8 +228,11 @@ func TestValidateCatchesBadTraces(t *testing.T) {
 }
 
 func TestActiveLanes(t *testing.T) {
-	in := Inst{Op: OpLoad, Index: []int64{1, Inactive, 3, Inactive}}
-	if got := in.ActiveLanes(); got != 2 {
+	b := NewBuilder("k", Launch{Blocks: 1, ThreadsPerBlock: 4, WarpSize: 4})
+	a := b.DeclareArray(Array{Name: "a", Type: F32, Len: 8})
+	b.Warp(0, 0).Load(a, []int64{1, Inactive, 3, Inactive})
+	tr := b.MustBuild()
+	if got := tr.ActiveLanes(&tr.Warps[0].Inst[0]); got != 2 {
 		t.Errorf("active lanes = %d", got)
 	}
 }
@@ -313,18 +316,18 @@ func TestStridedAndBroadcastHelpers(t *testing.T) {
 	wb.StoreStrided(a, 0, 64, 32)
 	tr := b.MustBuild()
 
-	ld := tr.Warps[0].Inst[0]
-	if ld.Index[0] != 10 || ld.Index[15] != 10+45 || ld.Index[16] != Inactive {
-		t.Errorf("strided load: %v", ld.Index[:17])
+	ld := tr.Lanes(&tr.Warps[0].Inst[0], nil)
+	if ld[0] != 10 || ld[15] != 10+45 || ld[16] != Inactive {
+		t.Errorf("strided load: %v", ld[:17])
 	}
-	bc := tr.Warps[0].Inst[1]
+	bc := tr.Lanes(&tr.Warps[0].Inst[1], nil)
 	for l := 0; l < 32; l++ {
-		if bc.Index[l] != 7 {
-			t.Fatalf("broadcast lane %d = %d", l, bc.Index[l])
+		if bc[l] != 7 {
+			t.Fatalf("broadcast lane %d = %d", l, bc[l])
 		}
 	}
 	st := tr.Warps[0].Inst[2]
-	if st.Op != OpStore || st.Index[31] != 31*64 {
-		t.Errorf("strided store: %v", st.Index[28:])
+	if stIdx := tr.Lanes(&st, nil); st.Op != OpStore || stIdx[31] != 31*64 {
+		t.Errorf("strided store: %v", stIdx[28:])
 	}
 }
