@@ -49,7 +49,6 @@ import (
 
 // memRef is one warp-level memory instruction of the lockstep schedule.
 type memRef struct {
-	inst    *trace.Inst
 	array   trace.ArrayID
 	ordinal int32 // position in the array's own access sequence
 }
@@ -72,8 +71,9 @@ type program struct {
 	// refPre[i] is the number of slotSeq entries issued before ref i.
 	refPre []int32
 	// arrayInsts[id] lists one array's memory instructions in lockstep
-	// order; contributions are built by walking it.
-	arrayInsts [][]*trace.Inst
+	// order; contributions are built by walking it. The instructions are
+	// copied so that walk reads memory sequentially.
+	arrayInsts [][]trace.Inst
 
 	baseEvents perf.Events
 	syncs      int64
@@ -95,7 +95,7 @@ func newProgram(cfg *gpu.Config, t *trace.Trace) *program {
 	p := &program{cfg: cfg, t: t, activeSMs: cfg.ActiveSMs(t.Launch.Blocks)}
 	p.slotNS = cfg.NSPerCycle() / float64(p.activeSMs)
 	p.l2x = cache.NewIndexer(cfg.L2)
-	p.arrayInsts = make([][]*trace.Inst, len(t.Arrays))
+	p.arrayInsts = make([][]trace.Inst, len(t.Arrays))
 	counts := make([]int32, len(t.Arrays))
 
 	pcs := make([]int, len(t.Warps))
@@ -124,9 +124,9 @@ func newProgram(cfg *gpu.Config, t *trace.Trace) *program {
 				continue
 			}
 
-			p.refs = append(p.refs, memRef{inst: in, array: in.Array, ordinal: counts[in.Array]})
+			p.refs = append(p.refs, memRef{array: in.Array, ordinal: counts[in.Array]})
 			counts[in.Array]++
-			p.arrayInsts[in.Array] = append(p.arrayInsts[in.Array], in)
+			p.arrayInsts[in.Array] = append(p.arrayInsts[in.Array], *in)
 			p.refPre = append(p.refPre, int32(len(p.slotSeq)))
 
 			// The consecutive-load run statistic (MLP) depends only on the op
@@ -245,8 +245,8 @@ func (p *program) buildContribution(resolver *memsys.Hierarchy, array trace.Arra
 		c.lines = make([]uint64, 0, len(insts))
 	}
 	c.minTag = ^uint64(0)
-	for o, in := range insts {
-		res := resolver.ResolveScratch(b, in, &sc)
+	for o := range insts {
+		res := resolver.ResolveScratch(b, &insts[o], &sc)
 		c.staticReplays[o] = int32(res.StaticReplays())
 		res.CountEvents(&c.events, c.k)
 		if offchip {

@@ -271,7 +271,12 @@ func oracleLanes(r *rand.Rand, warp int, n, tile int64, pattern int, pInactive f
 const oraclePatterns = 7
 
 // oracleTrace builds a one-warp trace over a 1-, 4- or 8-byte array (2D when
-// width > 0) with a mix of loads, stores and atomics.
+// width > 0) with a mix of loads, stores and atomics. Each drawn lane shape
+// is emitted by one op at several positions — as drawn, one element over, a
+// random shift, that shift plus 1024 elements (a whole number of lines and
+// bank rows, so the same residue) and one shared tile over — so the
+// resolution memo sees every pattern at distinct residues, at a repeated
+// residue, and in more than one period of the shared tile.
 func oracleTrace(t *testing.T, seed int64, elem trace.DType, pattern int) *trace.Trace {
 	r := rand.New(rand.NewSource(seed))
 	launch := trace.Launch{Blocks: 1 + r.Intn(16), ThreadsPerBlock: 32, WarpSize: 32}
@@ -288,13 +293,26 @@ func oracleTrace(t *testing.T, seed int64, elem trace.DType, pattern int) *trace
 	pInactive := []float64{0, 0.1, 0.5, 1}[r.Intn(4)]
 	for i := 0; i < 12; i++ {
 		idx := oracleLanes(r, launch.WarpSize, int64(n), tile, pattern+r.Intn(2)*r.Intn(oraclePatterns), pInactive)
-		switch r.Intn(3) {
-		case 0:
-			w.Load(id, idx)
-		case 1:
-			w.Store(id, idx)
-		default:
-			w.Atomic(id, idx)
+		emit := []func(trace.ArrayID, []int64) *trace.WarpBuilder{w.Load, w.Store, w.Atomic}[r.Intn(3)]
+		lo, hi := int64(n), int64(-1)
+		for _, ix := range idx {
+			if ix != trace.Inactive {
+				lo, hi = min(lo, ix), max(hi, ix)
+			}
+		}
+		shift := r.Int63n(int64(n)) - lo
+		for _, s := range []int64{0, 1, shift, shift + 1024, tile} {
+			if hi >= 0 && (lo+s < 0 || hi+s >= int64(n)) {
+				continue
+			}
+			moved := make([]int64, len(idx))
+			for l, ix := range idx {
+				moved[l] = ix
+				if ix != trace.Inactive {
+					moved[l] = ix + s
+				}
+			}
+			emit(id, moved)
 		}
 	}
 	tr, err := b.Build()
@@ -305,13 +323,15 @@ func oracleTrace(t *testing.T, seed int64, elem trace.DType, pattern int) *trace
 }
 
 // FuzzResolveMatchesReference pins the optimized resolution kernel —
-// hoisted addressing, masked coalescing, sort-based bank and atomic counts —
-// to the reference per-lane implementation: on every registered arch and
-// every memory space (remote spaces and 2D textures included), ResolveScratch
-// must return exactly what the reference returns, and ResolveScratch +
-// ProbeLines + the shared counters must add exactly the events and DRAM
-// lines the hand-counted reference does, with the caches evolving
-// identically across a sequence of accesses.
+// hoisted addressing, masked coalescing, sort-based bank and atomic counts,
+// the memo of resolved lane patterns — to the reference per-lane
+// implementation: on every registered arch and every memory space (remote
+// spaces and 2D textures included), ResolveScratch must return exactly what
+// the reference returns, and ResolveScratch + ProbeLines + the shared
+// counters must add exactly the events and DRAM lines the hand-counted
+// reference does, with the caches evolving identically across a sequence of
+// accesses. One Scratch serves every space, so memo entries of one space are
+// live while another is resolved.
 func FuzzResolveMatchesReference(f *testing.F) {
 	for arch := range gpu.Names() {
 		for elem := 0; elem < 3; elem++ {
@@ -327,13 +347,13 @@ func FuzzResolveMatchesReference(f *testing.F) {
 		tr := oracleTrace(t, seed, dtype, int(pattern))
 		sample := placement.New(1)
 		layout := placement.NewLayout(tr, sample)
+		var sc, scAcc Scratch
 		for _, sp := range gpu.Spaces {
 			target := placement.New(1)
 			target.Spaces[0] = sp
 			b := NewBinding(cfg, tr, sample, layout, target)
 			h, hRef := NewHierarchy(cfg), NewHierarchy(cfg)
 			sm, smRef := NewSMCaches(cfg), NewSMCaches(cfg)
-			var sc, scAcc Scratch
 			var dram []uint64
 			for i := range tr.Warps[0].Inst {
 				in := &tr.Warps[0].Inst[i]
@@ -360,18 +380,22 @@ func FuzzResolveMatchesReference(f *testing.F) {
 // TestResolveAllocFree pins the Scratch promise: once a Scratch and the
 // DRAM line buffer have grown, resolving, probing and counting a warp access
 // allocates nothing — for global, constant, both texture flavours and shared
-// placements, and for atomics (which add the same-address count on top).
+// placements, for atomics (which add the same-address count on top), and for
+// accesses served from the memo (lane patterns the warp repeats).
 func TestResolveAllocFree(t *testing.T) {
 	cfg := gpu.KeplerK80()
 	launch := trace.Launch{Blocks: 4, ThreadsPerBlock: 32, WarpSize: 32}
 	bld := trace.NewBuilder("allocs", launch)
 	id := bld.DeclareArray(trace.Array{Name: "a", Type: trace.F32, Len: 1 << 12, Width: 64})
 	r := rand.New(rand.NewSource(1))
+	atomic := oracleLanes(r, 32, 1<<12, 1<<10, 3, 0)
 	bld.Warp(0, 0).
 		LoadCoalesced(id, 0, 32).
 		LoadStrided(id, 0, 33, 32).
 		Load(id, oracleLanes(r, 32, 1<<12, 1<<10, 1, 0.2)).
-		Atomic(id, oracleLanes(r, 32, 1<<12, 1<<10, 3, 0))
+		Atomic(id, atomic).
+		LoadCoalesced(id, 64, 32).
+		Atomic(id, atomic)
 	tr := bld.MustBuild()
 	sample := placement.New(1)
 	layout := placement.NewLayout(tr, sample)
