@@ -6,7 +6,8 @@
 # code, a guard keeping advisor.Search the one evaluation loop of hmsplace, a
 # guard keeping internal/memsys the one writer of the memory-event counters
 # shared by the model and the simulator, a guard keeping one DRAM model per
-# side (c_a defined once, in dram.Analyzer; no Mapping setting), vet and
+# side (c_a defined once, in dram.Analyzer; no Mapping setting), a guard
+# keeping internal/memsys the one reader of traces' lane patterns, vet and
 # test of the perfbench benchmark module, the full test suite under the race
 # detector, the placement-space walk and resolution-kernel oracle fuzz seeds
 # under race, one-pass benchmark smokes of parallel ranking, delta evaluation,
@@ -132,6 +133,21 @@ dramdup=$( (git grep --untracked -n -E 'func (\([^)]*\) )?MeanCa\(' -- '*.go' ':
 if [ -n "$dramdup" ]; then
     echo "verify: a second DRAM statistic or mapping setting beside internal/dram's Analyzer:" >&2
     echo "$dramdup" >&2
+    exit 1
+fi
+
+echo "== one lane-resolution path"
+# Memory instructions store an interned lane pattern and a first index;
+# internal/memsys resolves them (memoized per pattern and residue) and
+# internal/trace owns the pattern table. No other non-test Go reads the
+# table or expands lanes itself, so the model and the simulator see every
+# warp access through ResolveScratch; cmd/tracedump, which prints traces, is
+# the one exception.
+lanes=$(git grep --untracked -n -E '\.Patterns\b|\.Lanes\(' -- '*.go' ':!*_test.go' ':!perfbench' \
+    ':!internal/trace' ':!internal/memsys' ':!cmd/tracedump' || true)
+if [ -n "$lanes" ]; then
+    echo "verify: lane patterns read outside internal/trace and internal/memsys; resolve through memsys:" >&2
+    echo "$lanes" >&2
     exit 1
 fi
 
