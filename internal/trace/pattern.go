@@ -1,13 +1,14 @@
 package trace
 
-import "encoding/binary"
-
 // interner assigns lane-pattern ids while a trace is built or decoded:
 // memory instructions with equal (array, op, active lanes, offsets from the
-// first active lane) share one Pattern of the trace.
+// first active lane) share one Pattern of the trace. Shapes are found by a
+// hash and confirmed by comparison, so no key is stored.
 type interner struct {
-	ids map[string]int32
-	key []byte
+	ids   map[uint64]int32 // shape hash → the latest pattern with that hash
+	next  []int32          // per pattern: the previous one with its hash, or -1
+	array []ArrayID        // per pattern: its array and op
+	op    []Op
 	// Pattern slices are carved from shared chunks rather than allocated one
 	// by one.
 	rel    []int64
@@ -44,19 +45,11 @@ func carve[T any](arena *[]T, n int) []T {
 // its pattern id and first active index (0 when no lane is active). idx is
 // read, not kept.
 func (it *interner) intern(t *Trace, a ArrayID, op Op, idx []int64) (int32, int64) {
-	// The key is the array, the op, the lane count, a bitmask of the active
-	// lanes and each active lane's offset: injective, so equal keys are equal
-	// shapes.
-	key := binary.LittleEndian.AppendUint64(it.key[:0], uint64(a))
-	key = append(key, byte(op))
-	key = binary.LittleEndian.AppendUint64(key, uint64(len(idx)))
-	mask := len(key)
-	for i := 0; i < (len(idx)+7)/8; i++ {
-		key = append(key, 0)
-	}
 	first, active, prefix := int64(0), 0, true
+	h := mix(mix(uint64(a), uint64(op)), uint64(len(idx)))
 	for l, ix := range idx {
 		if ix == Inactive {
+			h = mix(h, uint64(l))
 			continue
 		}
 		if active == 0 {
@@ -64,13 +57,14 @@ func (it *interner) intern(t *Trace, a ArrayID, op Op, idx []int64) (int32, int6
 		}
 		prefix = prefix && l == active
 		active++
-		key[mask+l/8] |= 1 << (l % 8)
-		key = binary.LittleEndian.AppendUint64(key, uint64(ix-first))
+		h = mix(h, uint64(ix-first))
 	}
-	it.key = key
-	if id, ok := it.ids[string(key)]; ok {
-		t.Patterns[id].Uses++
-		return id, first
+	head, ok := it.ids[h]
+	for id := head; ok && id >= 0; id = it.next[id] {
+		if it.array[id] == a && it.op[id] == op && t.Patterns[id].matches(idx, first, active) {
+			t.Patterns[id].Uses++
+			return id, first
+		}
 	}
 
 	p := Pattern{Lanes: len(idx), Uses: 1}
@@ -93,12 +87,43 @@ func (it *interner) intern(t *Trace, a ArrayID, op Op, idx []int64) (int32, int6
 		}
 	}
 	if it.ids == nil {
-		it.ids = make(map[string]int32)
+		it.ids = make(map[uint64]int32)
 	}
 	id := int32(len(t.Patterns))
-	it.ids[string(key)] = id
+	if !ok {
+		head = -1
+	}
+	it.ids[h] = id
+	it.next = append(it.next, head)
+	it.array = append(it.array, a)
+	it.op = append(it.op, op)
 	t.Patterns = append(t.Patterns, p)
 	return id, first
+}
+
+// mix folds v into the shape hash h.
+func mix(h, v uint64) uint64 {
+	h = (h ^ v) * 0x9e3779b97f4a7c15
+	return h ^ h>>29
+}
+
+// matches reports whether lane indices idx, whose first active index is
+// first and which have active active lanes, have the pattern's shape.
+func (p *Pattern) matches(idx []int64, first int64, active int) bool {
+	if p.Lanes != len(idx) || len(p.Rel) != active {
+		return false
+	}
+	k := 0
+	for l, ix := range idx {
+		if ix == Inactive {
+			continue
+		}
+		if int(p.Active[k]) != l || p.Rel[k] != ix-first {
+			return false
+		}
+		k++
+	}
+	return true
 }
 
 // wellFormed reports whether the pattern is internally consistent: one

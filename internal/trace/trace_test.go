@@ -331,3 +331,31 @@ func TestStridedAndBroadcastHelpers(t *testing.T) {
 		t.Errorf("strided store: %v", stIdx[28:])
 	}
 }
+
+// TestValidateNamesOffendingLane pins the out-of-range error text: it names
+// the first offending lane in lane order and its absolute index, whether that
+// lane is the first active one, lies below it, or lies above it, and however
+// far out of range the index is.
+func TestValidateNamesOffendingLane(t *testing.T) {
+	for _, tc := range []struct {
+		lanes []int64
+		want  string
+	}{
+		{[]int64{5, 6, 7, 8}, "warp 0 inst 1 lane 3: index 8 out of [0,8)"},
+		{[]int64{3, 2, 99, Inactive}, "warp 0 inst 1 lane 2: index 99 out of [0,8)"},
+		{[]int64{Inactive, 5, -5, 8}, "warp 0 inst 1 lane 2: index -5 out of [0,8)"},
+		{[]int64{Inactive, 8, 0, 1}, "warp 0 inst 1 lane 1: index 8 out of [0,8)"},
+		{[]int64{1, -9223372036854775807, 2, 3}, "warp 0 inst 1 lane 1: index -9223372036854775807 out of [0,8)"},
+		{[]int64{-9223372036854775807, 9223372036854775807, 2, 3}, "warp 0 inst 1 lane 0: index -9223372036854775807 out of [0,8)"},
+	} {
+		b := NewBuilder("k", Launch{Blocks: 1, ThreadsPerBlock: 4, WarpSize: 4})
+		a := b.DeclareArray(Array{Name: "a", Type: F32, Len: 8})
+		// The unit-stride shape in range first: the first case reuses its
+		// pattern out of range.
+		b.Warp(0, 0).Load(a, []int64{0, 1, 2, 3}).Load(a, tc.lanes)
+		_, err := b.Build()
+		if err == nil || !strings.HasSuffix(err.Error(), tc.want) {
+			t.Errorf("lanes %v: got %v, want an error ending %q", tc.lanes, err, tc.want)
+		}
+	}
+}
