@@ -196,17 +196,3 @@ func (w *WarpBuilder) LoadStrided(a ArrayID, base, stride int64, active int) *Wa
 func (w *WarpBuilder) StoreStrided(a ArrayID, base, stride int64, active int) *WarpBuilder {
 	return w.mem(OpStore, a, w.strided(base, stride, active))
 }
-
-// Coalesced builds a unit-stride index vector: lane L gets base+L for
-// L < active, Inactive otherwise.
-func Coalesced(warpSize int, base int64, active int) []int64 {
-	idx := make([]int64, warpSize)
-	for l := range idx {
-		if l < active {
-			idx[l] = base + int64(l)
-		} else {
-			idx[l] = Inactive
-		}
-	}
-	return idx
-}

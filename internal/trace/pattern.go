@@ -18,16 +18,6 @@ type interner struct {
 // chunk is the element count of one carving chunk.
 const chunk = 4096
 
-// prefixLanes backs the Active slice of every pattern whose active lanes
-// are 0..n-1, the common case.
-var prefixLanes = func() []int32 {
-	l := make([]int32, 1024)
-	for i := range l {
-		l[i] = int32(i)
-	}
-	return l
-}()
-
 // carve returns n elements cut from the tail of *arena, starting a new chunk
 // when it is full.
 func carve[T any](arena *[]T, n int) []T {
@@ -45,7 +35,7 @@ func carve[T any](arena *[]T, n int) []T {
 // its pattern id and first active index (0 when no lane is active). idx is
 // read, not kept.
 func (it *interner) intern(t *Trace, a ArrayID, op Op, idx []int64) (int32, int64) {
-	first, active, prefix := int64(0), 0, true
+	first, active := int64(0), 0
 	h := mix(mix(uint64(a), uint64(op)), uint64(len(idx)))
 	for l, ix := range idx {
 		if ix == Inactive {
@@ -55,7 +45,6 @@ func (it *interner) intern(t *Trace, a ArrayID, op Op, idx []int64) (int32, int6
 		if active == 0 {
 			first = ix
 		}
-		prefix = prefix && l == active
 		active++
 		h = mix(h, uint64(ix-first))
 	}
@@ -70,11 +59,7 @@ func (it *interner) intern(t *Trace, a ArrayID, op Op, idx []int64) (int32, int6
 	p := Pattern{Lanes: len(idx), Uses: 1}
 	if active > 0 {
 		p.Rel = carve(&it.rel, active)
-		if prefix && active <= len(prefixLanes) {
-			p.Active = prefixLanes[:active:active]
-		} else {
-			p.Active = carve(&it.active, active)
-		}
+		p.Active = carve(&it.active, active)
 		k := 0
 		for l, ix := range idx {
 			if ix == Inactive {

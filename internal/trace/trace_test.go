@@ -284,14 +284,18 @@ func TestArraysSortedBySize(t *testing.T) {
 	}
 }
 
-// Property: Coalesced produces base+lane for active lanes and Inactive
-// beyond, and the strided helpers respect their stride.
+// Property: LoadCoalesced emits base+lane for active lanes and Inactive
+// beyond.
 func TestIndexHelpers(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		base := int64(r.Intn(1000))
 		active := 1 + r.Intn(32)
-		idx := Coalesced(32, base, active)
+		b := NewBuilder("k", Launch{Blocks: 1, ThreadsPerBlock: 32, WarpSize: 32})
+		a := b.DeclareArray(Array{Name: "a", Type: F32, Len: 1100})
+		b.Warp(0, 0).LoadCoalesced(a, base, active)
+		tr := b.MustBuild()
+		idx := tr.Lanes(&tr.Warps[0].Inst[0], nil)
 		for l := 0; l < 32; l++ {
 			if l < active && idx[l] != base+int64(l) {
 				return false
