@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"gpuhms/internal/hmserr"
 )
 
 func TestDTypeBytes(t *testing.T) {
@@ -360,6 +362,28 @@ func TestValidateNamesOffendingLane(t *testing.T) {
 		_, err := b.Build()
 		if err == nil || !strings.HasSuffix(err.Error(), tc.want) {
 			t.Errorf("lanes %v: got %v, want an error ending %q", tc.lanes, err, tc.want)
+		}
+	}
+}
+
+// TestValidateRejectsMalformedPatterns corrupts a built trace's lane
+// patterns in place: resolution trusts a valid trace's pattern table, so
+// Validate must reject an instruction naming no pattern and a pattern whose
+// lanes, offsets or extremes disagree.
+func TestValidateRejectsMalformedPatterns(t *testing.T) {
+	for name, corrupt := range map[string]func(*Trace){
+		"pattern out of range":  func(tr *Trace) { tr.Warps[0].Inst[2].Pattern = 7 },
+		"negative pattern":      func(tr *Trace) { tr.Warps[0].Inst[2].Pattern = -1 },
+		"wrong extreme":         func(tr *Trace) { tr.Patterns[0].MaxRel = 1 },
+		"offset without lane":   func(tr *Trace) { tr.Patterns[0].Rel = append(tr.Patterns[0].Rel, 40) },
+		"lanes out of order":    func(tr *Trace) { tr.Patterns[0].Active[0], tr.Patterns[0].Active[1] = 1, 0 },
+		"lane beyond the warp":  func(tr *Trace) { tr.Patterns[0].Active[31] = 32 },
+		"first offset not zero": func(tr *Trace) { tr.Patterns[0].Rel[0] = 1 },
+	} {
+		tr := buildSmall(t)
+		corrupt(tr)
+		if err := tr.Validate(); !errors.Is(err, hmserr.ErrInvalidTrace) {
+			t.Errorf("%s: Validate = %v, want ErrInvalidTrace", name, err)
 		}
 	}
 }
