@@ -14,9 +14,9 @@ package core
 //     first-level transactions, the replays that depend only on the address
 //     pattern (divergence, shared bank conflicts, atomic serialization), and
 //     the aggregated counters those imply. A contribution is a pure function
-//     of (array, space, address key) — it reads no cache state — so it is
-//     built once and cached. This is where the expensive work lives: per-lane
-//     address generation, coalescing sorts, replay math.
+//     of (array, local space, address key) — it reads no cache state — so it
+//     is built once and cached. This is where the expensive work lives:
+//     per-lane address generation, coalescing sorts, replay math.
 //
 //   - merge: the interaction term. Per-array contributions are stitched back
 //     together in lockstep order and replayed through ONE shared cache
@@ -29,10 +29,20 @@ package core
 //     merely close. This is the only per-evaluation cost: cache probes per
 //     first-level line, never per lane.
 //
+// Remote placement (chiplet) is a label, not a binding. An array keeps its
+// address when it moves between local and remote stacks, and remote spaces
+// behave exactly like their local counterpart through the caches, so a
+// placement's layout, contributions, group sims and merge depend only on its
+// local projection: every array in its space's Base(). The one remote term is
+// Analysis.RemoteReqs (remoteReqs), counted from the placement after the
+// merge. Contributions and group sims are therefore keyed on local spaces,
+// and cached evaluations memoize each local projection's merge (see
+// contribCache.merged).
+//
 // Predict, PredictDelta, and Model.AnalyzePlacement all run through this one
 // path, which is what makes delta and full evaluations byte-identical: a
-// "delta" differs only in how many contributions come from cache instead of
-// being rebuilt, never in the math.
+// "delta" differs only in how many contributions and merges come from cache
+// instead of being rebuilt, never in the math.
 
 import (
 	"sync"
@@ -167,6 +177,8 @@ func newProgram(cfg *gpu.Config, t *trace.Trace) *program {
 // merge — which is what makes a contribution a pure function of its key,
 // reusable across every placement that binds the array the same way.
 type contribution struct {
+	// space is the local space the accesses were resolved in; a remote
+	// placement shares the contribution of its local counterpart.
 	space gpu.MemSpace
 	// addr is the address binding the contribution was resolved at (device
 	// base for off-chip spaces, block-local offset for shared memory); with
@@ -214,10 +226,12 @@ type contribution struct {
 }
 
 // buildContribution resolves one array's accesses under (space, addr),
-// cache-independently. addr is the array's device base address for off-chip
-// spaces or its block-local byte offset for shared memory. resolver supplies
-// geometry only; its cache state is neither read nor written.
+// cache-independently. A remote space is resolved as its local counterpart.
+// addr is the array's device base address for off-chip spaces or its
+// block-local byte offset for shared memory. resolver supplies geometry only;
+// its cache state is neither read nor written.
 func (p *program) buildContribution(resolver *memsys.Hierarchy, array trace.ArrayID, space gpu.MemSpace, addr uint64) *contribution {
+	space = space.Base()
 	t := p.t
 	n := len(t.Arrays)
 	pl := placement.New(n)
@@ -268,7 +282,7 @@ func (p *program) buildContribution(resolver *memsys.Hierarchy, array trace.Arra
 			}
 		}
 	}
-	if space.Base() == gpu.Global {
+	if space == gpu.Global {
 		c.firstTouch(p.l2x)
 	}
 	return c
@@ -442,8 +456,9 @@ func (s *mergeScratch) reset() {
 //
 // groups may be nil (cache-bypassing evaluations); group sims are then built
 // for this call only. scr must be freshly built or reset; the returned
-// Analysis owns all of its data.
-func (p *program) merge(pl *placement.Placement, contribs []*contribution, scr *mergeScratch, groups *groupCache) *Analysis {
+// Analysis owns all of its data, RemoteReqs counted for pl. The path reports
+// which walk ran.
+func (p *program) merge(pl *placement.Placement, contribs []*contribution, scr *mergeScratch, groups *groupCache) (*Analysis, mergePath) {
 	var constSim, texSim *groupSim
 	if hasSpace(contribs, true) {
 		constSim = p.groupFor(groups, true, contribs)
@@ -451,10 +466,39 @@ func (p *program) merge(pl *placement.Placement, contribs []*contribution, scr *
 	if hasSpace(contribs, false) {
 		texSim = p.groupFor(groups, false, contribs)
 	}
+	var (
+		a    *Analysis
+		path mergePath
+	)
 	if p.l2EvictionFree(contribs, constSim, texSim, scr) {
-		return p.mergeFast(pl, contribs, constSim, texSim, scr)
+		a, path = p.mergeFast(pl, contribs, constSim, texSim, scr), mergedFast
+	} else {
+		a, path = p.mergeExact(pl, contribs, scr), mergedExact
 	}
-	return p.mergeExact(pl, contribs, scr)
+	a.RemoteReqs = remoteReqs(pl, contribs)
+	return a, path
+}
+
+// mergePath says how an evaluation's Analysis was merged, for telemetry.
+type mergePath uint8
+
+const (
+	mergedExact mergePath = iota // mergeExact ran
+	mergedFast                   // mergeFast ran
+	mergeReused                  // the local projection's memoized merge was reused
+)
+
+// remoteReqs counts the off-chip requests that cross the interposer: every
+// request of an array pl places in a remote space. It is the one term of an
+// Analysis that a placement does not share with its local projection.
+func remoteReqs(pl *placement.Placement, contribs []*contribution) int64 {
+	var n int64
+	for i, c := range contribs {
+		if pl.Spaces[i].Remote() {
+			n += c.offchip
+		}
+	}
+	return n
 }
 
 // hasSpace reports whether any contribution lives in the constant space
@@ -464,10 +508,10 @@ func hasSpace(contribs []*contribution, wantConst bool) bool {
 		if c == nil {
 			continue
 		}
-		if wantConst && c.space.Base() == gpu.Constant {
+		if wantConst && c.space == gpu.Constant {
 			return true
 		}
-		if b := c.space.Base(); !wantConst && (b == gpu.Texture1D || b == gpu.Texture2D) {
+		if !wantConst && (c.space == gpu.Texture1D || c.space == gpu.Texture2D) {
 			return true
 		}
 	}
@@ -483,10 +527,10 @@ func (p *program) groupFor(groups *groupCache, isConst bool, contribs []*contrib
 		if c == nil {
 			continue
 		}
-		if b := c.space.Base(); isConst {
-			member[i] = b == gpu.Constant
+		if isConst {
+			member[i] = c.space == gpu.Constant
 		} else {
-			member[i] = b == gpu.Texture1D || b == gpu.Texture2D
+			member[i] = c.space == gpu.Texture1D || c.space == gpu.Texture2D
 		}
 	}
 	if groups == nil {
@@ -552,7 +596,7 @@ func (p *program) l2EvictionFree(contribs []*contribution, constSim, texSim *gro
 		return true
 	}
 	for _, c := range contribs {
-		if c != nil && c.space.Base() == gpu.Global && c.l2Miss > 0 && !addCounts(c.setCounts) {
+		if c != nil && c.space == gpu.Global && c.l2Miss > 0 && !addCounts(c.setCounts) {
 			return false
 		}
 	}
@@ -567,6 +611,7 @@ func (p *program) l2EvictionFree(contribs []*contribution, constSim, texSim *gro
 
 // analysisHeader builds the Analysis skeleton shared by both merge walks:
 // the placement-independent base plus every contribution's static sums.
+// RemoteReqs is left to merge, which counts it from the placement.
 func (p *program) analysisHeader(contribs []*contribution) *Analysis {
 	a := &Analysis{
 		ActiveSMs: p.activeSMs,
@@ -579,12 +624,6 @@ func (p *program) analysisHeader(contribs []*contribution) *Analysis {
 	for _, c := range contribs {
 		a.OffchipReqs += c.offchip
 		a.TransPerOffchip += float64(c.transOff)
-		if c.space.Remote() {
-			// Every off-chip request to a remote-placed array crosses the
-			// interposer; the count is placement-static, so summing it here
-			// keeps mergeExact and mergeFast byte-identical.
-			a.RemoteReqs += c.offchip
-		}
 		a.Events.AddCounts(&c.events)
 	}
 	if a.OffchipReqs > 0 {
@@ -662,7 +701,7 @@ func (p *program) mergeFast(pl *placement.Placement, contribs []*contribution, c
 	// integer totals don't depend on interleaving order.
 	var constMisses, texMisses, l2Acc, l2Miss int64
 	for _, c := range contribs {
-		if c != nil && c.space.Base() == gpu.Global {
+		if c != nil && c.space == gpu.Global {
 			l2Acc += c.l2Acc
 			l2Miss += c.l2Miss
 		}
@@ -695,7 +734,7 @@ func (p *program) mergeFast(pl *placement.Placement, contribs []*contribution, c
 
 		var cm int64
 		var dlines []uint64
-		switch c.space.Base() {
+		switch c.space {
 		case gpu.Global:
 			lo, hi := c.dramOff[r.ordinal], c.dramOff[r.ordinal+1]
 			dlines = c.dramLines[lo:hi]
@@ -723,9 +762,9 @@ func (p *program) mergeFast(pl *placement.Placement, contribs []*contribution, c
 	return p.finishAnalysis(a, an, pl, proxyNS)
 }
 
-// contribKey identifies a reusable contribution: the array, its space, and
-// its address binding (device base for off-chip spaces, block-local offset
-// for shared memory). The address is part of the key because layout
+// contribKey identifies a reusable contribution: the array, its local space,
+// and its address binding (device base for off-chip spaces, block-local
+// offset for shared memory). The address is part of the key because layout
 // retargeting can move an array's neighbors: a placement that pushes other
 // arrays across the on-chip/off-chip boundary shifts this array's offset or
 // heap range, and a contribution is only valid for the addresses it was
@@ -752,8 +791,11 @@ type contribEntry struct {
 type contribCache struct {
 	prog     *program
 	resolver *memsys.Hierarchy
-	mu       sync.Mutex
+	mu       sync.Mutex // guards m and analyses
 	m        map[contribKey]*contribEntry
+
+	// analyses memoizes merged analyses by local projection (see merged).
+	analyses map[string]*mergeEntry
 
 	// groups memoizes per-SM cache space group sims across the same clones
 	// (see groupCache); searches revisit the same few space groups for every
@@ -766,8 +808,40 @@ func newContribCache(prog *program) *contribCache {
 		prog:     prog,
 		resolver: memsys.NewHierarchy(prog.cfg),
 		m:        make(map[contribKey]*contribEntry),
+		analyses: make(map[string]*mergeEntry),
 		groups:   groupCache{m: make(map[string]*groupEntry)},
 	}
+}
+
+// mergeEntry is one merge memo slot; once collapses concurrent mergers of the
+// same local projection to a single merge.
+type mergeEntry struct {
+	once sync.Once
+	an   *Analysis
+}
+
+// merged returns the memoized Analysis of pl's local projection, running
+// merge on first use; path is mergeReused unless this call ran merge. The
+// projection (every array's Base space) fixes the layout, every contribution
+// and every group sim, so the Analysis is the same for all of its remote
+// variants except RemoteReqs: callers copy it and recount that. The returned
+// Analysis, its BankStreams and CtlStreams included, is shared and read-only.
+func (cc *contribCache) merged(pl *placement.Placement, merge func() (*Analysis, mergePath)) (an *Analysis, path mergePath) {
+	var buf [32]byte
+	key := buf[:0]
+	for _, sp := range pl.Spaces {
+		key = append(key, byte(sp.Base()))
+	}
+	cc.mu.Lock()
+	e, ok := cc.analyses[string(key)]
+	if !ok {
+		e = &mergeEntry{}
+		cc.analyses[string(key)] = e
+	}
+	cc.mu.Unlock()
+	path = mergeReused
+	e.once.Do(func() { e.an, path = merge() })
+	return e.an, path
 }
 
 // groupEntry is one group-sim cache slot; once collapses concurrent builders
@@ -778,8 +852,8 @@ type groupEntry struct {
 }
 
 // groupCache memoizes groupSims by the exact inputs they are a pure function
-// of: the cache flavor and the ordered (array, space, addr) bindings of the
-// member contributions. A kernel's searches bind each space to a handful of
+// of: the cache flavor and the ordered (array, local space, addr) bindings of
+// the member contributions. A kernel's searches bind each space to a handful of
 // array groups, so entries are few and hit rates near one. Safe for
 // concurrent use; values are immutable after construction.
 type groupCache struct {
@@ -822,10 +896,11 @@ func (gc *groupCache) get(p *program, isConst bool, member []bool, contribs []*c
 	return e.g
 }
 
-// get returns the contribution for key, building it on first use. hit reports
-// whether the value was already resident (the delta fast path).
+// get returns the contribution of (array, space, addr), keyed on space's
+// local counterpart and built on first use. hit reports whether the value was
+// already resident (the delta fast path).
 func (cc *contribCache) get(array trace.ArrayID, space gpu.MemSpace, addr uint64) (c *contribution, hit bool) {
-	key := contribKey{array: array, space: space, addr: addr}
+	key := contribKey{array: array, space: space.Base(), addr: addr}
 	cc.mu.Lock()
 	e, ok := cc.m[key]
 	if !ok {
@@ -833,7 +908,7 @@ func (cc *contribCache) get(array trace.ArrayID, space gpu.MemSpace, addr uint64
 		cc.m[key] = e
 	}
 	cc.mu.Unlock()
-	e.once.Do(func() { e.c = cc.prog.buildContribution(cc.resolver, array, space, addr) })
+	e.once.Do(func() { e.c = cc.prog.buildContribution(cc.resolver, array, key.space, addr) })
 	return e.c, ok
 }
 

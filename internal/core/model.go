@@ -190,7 +190,7 @@ func NewPredictor(m *Model, t *trace.Trace, sample *placement.Placement, prof Sa
 		prog:         prog,
 		cache:        newContribCache(prog),
 	}
-	an, st, _, _ := p.evalState(sample, nil, -1, true)
+	an, st, _ := p.evalState(sample, nil, true)
 	p.sampleAn = an
 	p.sampleState = st
 	return p, nil
@@ -216,8 +216,8 @@ func (p *Predictor) Profile() SampleProfile { return p.profile }
 
 // AnalyzePlacement runs the §IV trace analysis of one placement under this
 // model's mapping and distribution mode. It runs the same decomposed
-// evaluation as Predict, but standalone: the program and every contribution
-// are built fresh and nothing is cached.
+// evaluation as Predict, but standalone: the program, every contribution,
+// every group sim and the merge are built fresh and nothing is cached.
 func (m *Model) AnalyzePlacement(t *trace.Trace, sample, target *placement.Placement) *Analysis {
 	prog := newProgram(m.Cfg, t)
 	layout := placement.Retarget(t, placement.NewLayout(t, sample), sample, target)
@@ -227,75 +227,100 @@ func (m *Model) AnalyzePlacement(t *trace.Trace, sample, target *placement.Place
 		sp := target.Spaces[i]
 		contribs[i] = prog.buildContribution(resolver, trace.ArrayID(i), sp, addrKeyOf(layout, sp, i))
 	}
-	return prog.merge(target, contribs, newMergeScratch(m.Cfg, m.distMode()), nil)
+	an, _ := prog.merge(target, contribs, newMergeScratch(m.Cfg, m.distMode()), nil)
+	return an
+}
+
+// evalStats tallies how one evaluation was served, for telemetry.
+type evalStats struct {
+	hits, builds int64 // contribution cache hits and builds
+	merge        mergePath
 }
 
 // evalState runs the decomposed evaluation of a target placement: resolve the
-// layout, gather one contribution per array — reusing prev's where the move
-// left an array's binding untouched, then the shared cache, then a fresh
-// build — and run the DRAM merge pass. With useCache false every contribution
-// not taken from prev is rebuilt from scratch: the full-evaluation fallback,
-// identical math at cold-start cost. Returns the analysis, the reusable
-// state, and the contribution cache hit/build tallies for the caller's
-// telemetry.
-func (p *Predictor) evalState(target *placement.Placement, prev *DeltaState, moved int, useCache bool) (*Analysis, *DeltaState, int64, int64) {
+// layout, gather one contribution per array — reusing prev's where the
+// array's local binding is unchanged, then the shared cache, then a fresh
+// build — and merge them. Cached evaluations take the merge of target's local
+// projection from the memo (contribCache.merged) and recount RemoteReqs on a
+// shallow copy. With useCache false every contribution not taken from prev,
+// every group sim and the merge are rebuilt from scratch: the
+// full-evaluation fallback, identical math at cold-start cost.
+func (p *Predictor) evalState(target *placement.Placement, prev *DeltaState, useCache bool) (*Analysis, *DeltaState, evalStats) {
 	layout := placement.Retarget(p.trace, p.sampleLayout, p.sample, target)
 	contribs := make([]*contribution, len(target.Spaces))
-	var hits, builds int64
+	var st evalStats
 	for i := range contribs {
-		sp := target.Spaces[i]
+		sp := target.Spaces[i].Base()
 		addr := addrKeyOf(layout, sp, i)
-		// Fast path: an array the move did not touch, whose binding the
-		// layout retargeting also left alone, keeps its contribution without
-		// even a cache lookup. Retargeting can shift untouched arrays — a
-		// neighbor crossing the on-chip/off-chip boundary moves shared
-		// offsets and heap ranges — and those fall through to the cache.
-		if prev != nil && i != moved && prev.place.Spaces[i] == sp &&
-			addrKeyOf(prev.layout, sp, i) == addr {
+		// Fast path: an array whose local space and address binding are
+		// unchanged keeps prev's contribution without even a cache lookup.
+		// Retargeting can shift untouched arrays — a neighbor crossing the
+		// on-chip/off-chip boundary moves shared offsets and heap ranges —
+		// and those fall through to the cache.
+		if prev != nil && prev.place.Spaces[i].Base() == sp && addrKeyOf(prev.layout, sp, i) == addr {
 			contribs[i] = prev.contribs[i]
 			continue
 		}
 		if !useCache {
 			contribs[i] = p.prog.buildContribution(p.cache.resolver, trace.ArrayID(i), sp, addr)
-			builds++
+			st.builds++
 			continue
 		}
 		c, hit := p.cache.get(trace.ArrayID(i), sp, addr)
 		contribs[i] = c
 		if hit {
-			hits++
+			st.hits++
 		} else {
-			builds++
+			st.builds++
 		}
 	}
-	// PredictFull bypasses the group-sim cache too: cache-distrusting
-	// evaluations rebuild every memoized input.
-	var groups *groupCache
+	var an *Analysis
 	if useCache {
-		groups = &p.cache.groups
+		var local *Analysis
+		local, st.merge = p.cache.merged(target, func() (*Analysis, mergePath) {
+			return p.merge(target, contribs, &p.cache.groups)
+		})
+		cp := *local
+		cp.RemoteReqs = remoteReqs(target, contribs)
+		an = &cp
+	} else {
+		// PredictFull bypasses the group-sim cache and the merge memo too:
+		// cache-distrusting evaluations rebuild every memoized input.
+		an, st.merge = p.merge(target, contribs, nil)
 	}
+	return an, &DeltaState{place: target.Clone(), layout: layout, contribs: contribs}, st
+}
+
+// merge runs the merge pass on the predictor's reusable scratch.
+func (p *Predictor) merge(target *placement.Placement, contribs []*contribution, groups *groupCache) (*Analysis, mergePath) {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.scr == nil {
 		p.scr = newMergeScratch(p.model.Cfg, p.model.distMode())
 	} else {
 		p.scr.reset()
 	}
-	an := p.prog.merge(target, contribs, p.scr, groups)
-	p.mu.Unlock()
-	st := &DeltaState{place: target.Clone(), layout: layout, contribs: contribs}
-	return an, st, hits, builds
+	return p.prog.merge(target, contribs, p.scr, groups)
 }
 
 // recordPrediction emits the per-prediction telemetry shared by every
 // evaluation entry point.
-func (p *Predictor) recordPrediction(rec obs.Recorder, pred *Prediction, span string, hits, builds int64, startNS float64) {
+func (p *Predictor) recordPrediction(rec obs.Recorder, pred *Prediction, span string, st evalStats, startNS float64) {
 	rec.Add("model_predictions_total", 1)
 	rec.Add("model_fixedpoint_iters_total", int64(pred.FixedPointIters))
-	if hits > 0 {
-		rec.Add("model_contrib_cache_hits_total", hits)
+	if st.hits > 0 {
+		rec.Add("model_contrib_cache_hits_total", st.hits)
 	}
-	if builds > 0 {
-		rec.Add("model_contrib_builds_total", builds)
+	if st.builds > 0 {
+		rec.Add("model_contrib_builds_total", st.builds)
+	}
+	switch st.merge {
+	case mergedFast:
+		rec.Add("model_merge_fast_total", 1)
+	case mergedExact:
+		rec.Add("model_merge_exact_total", 1)
+	case mergeReused:
+		rec.Add("model_merge_reused_total", 1)
 	}
 	rec.Observe("model_tcomp_cycles", pred.TComp)
 	rec.Observe("model_tmem_cycles", pred.TMem)
@@ -308,9 +333,10 @@ func (p *Predictor) recordPrediction(rec obs.Recorder, pred *Prediction, span st
 }
 
 // Predict returns the predicted performance of a target placement. It runs
-// the decomposed evaluation with the contribution cache on, so repeated
-// predictions against one predictor pay only the merge pass for arrays whose
-// bindings have been seen before.
+// the decomposed evaluation with the caches on, so repeated predictions
+// against one predictor pay only the merge pass for arrays whose bindings
+// have been seen before, and not even that for a placement whose local
+// projection was merged before.
 func (p *Predictor) Predict(target *placement.Placement) (*Prediction, error) {
 	pred, _, err := p.PredictState(target)
 	return pred, err
@@ -319,7 +345,7 @@ func (p *Predictor) Predict(target *placement.Placement) (*Prediction, error) {
 // PredictState is Predict returning also the reusable DeltaState of the
 // evaluated placement — the starting point for PredictDelta.
 func (p *Predictor) PredictState(target *placement.Placement) (*Prediction, *DeltaState, error) {
-	return p.predictVia(target, nil, -1, true, "predict")
+	return p.predictVia(target, nil, true, "predict")
 }
 
 // PredictDelta predicts the placement obtained by moving one array of a
@@ -337,15 +363,16 @@ func (p *Predictor) PredictDelta(prev *DeltaState, arrayIdx int, newSpace gpu.Me
 	if err != nil {
 		return nil, nil, err
 	}
-	return p.predictVia(target, prev, arrayIdx, true, "predict_delta")
+	return p.predictVia(target, prev, true, "predict_delta")
 }
 
-// PredictFull is Predict with the contribution cache bypassed: every
-// per-array contribution is rebuilt from scratch. It is the documented
+// PredictFull is Predict with every cache bypassed: each per-array
+// contribution, group sim and the merge are rebuilt from scratch, and the
+// merge memo is neither read nor written. It is the documented
 // fallback when cached state cannot be trusted (and the honest baseline for
 // delta-speedup benchmarks); the math is identical to Predict, only slower.
 func (p *Predictor) PredictFull(target *placement.Placement) (*Prediction, error) {
-	pred, _, err := p.predictVia(target, nil, -1, false, "predict_full")
+	pred, _, err := p.predictVia(target, nil, false, "predict_full")
 	return pred, err
 }
 
@@ -355,7 +382,7 @@ func (p *Predictor) SampleState() *DeltaState { return p.sampleState }
 
 // predictVia is the shared evaluation path behind Predict, PredictState,
 // PredictDelta, and PredictFull.
-func (p *Predictor) predictVia(target *placement.Placement, prev *DeltaState, moved int, useCache bool, span string) (*Prediction, *DeltaState, error) {
+func (p *Predictor) predictVia(target *placement.Placement, prev *DeltaState, useCache bool, span string) (*Prediction, *DeltaState, error) {
 	if err := placement.Check(p.trace, target, p.model.Cfg); err != nil {
 		return nil, nil, err
 	}
@@ -365,7 +392,7 @@ func (p *Predictor) predictVia(target *placement.Placement, prev *DeltaState, mo
 	if enabled {
 		start = rec.Now()
 	}
-	an, st, hits, builds := p.evalState(target, prev, moved, useCache)
+	an, st, stats := p.evalState(target, prev, useCache)
 	pred, err := p.model.predictFrom(an, p.sampleAn, &p.profile)
 	if err != nil {
 		return nil, nil, err
@@ -374,7 +401,7 @@ func (p *Predictor) predictVia(target *placement.Placement, prev *DeltaState, mo
 		if span == "predict_delta" {
 			rec.Add("model_delta_predictions_total", 1)
 		}
-		p.recordPrediction(rec, pred, span, hits, builds, start)
+		p.recordPrediction(rec, pred, span, stats, start)
 	}
 	return pred, st, nil
 }

@@ -6,6 +6,8 @@ import (
 	"gpuhms/internal/gpu"
 	"gpuhms/internal/kernels"
 	"gpuhms/internal/obs"
+	"gpuhms/internal/placement"
+	"gpuhms/internal/trace"
 )
 
 // TestPredictorRecordsTermBreakdown checks that an attached recorder sees
@@ -76,5 +78,58 @@ func TestPredictorRecordsTermBreakdown(t *testing.T) {
 	// The full model runs the queuing fixed point, so iterations were spent.
 	if got := snap.Counter("model_fixedpoint_iters_total"); got <= 0 {
 		t.Errorf("model_fixedpoint_iters_total = %d, want > 0", got)
+	}
+}
+
+// TestPredictorCountsMergePaths checks the merge-path counters: every
+// prediction counts exactly one of model_merge_{fast,exact,reused}_total.
+// On the chiplet, a remote twin of an evaluated placement reuses its local
+// projection's merge, and PredictFull never does.
+func TestPredictorCountsMergePaths(t *testing.T) {
+	cfg := gpu.MustLookup("chiplet")
+	spec := kernels.MustGet("vecadd")
+	tr := spec.Trace(1)
+	sample, err := spec.SamplePlacement(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := NewPredictor(NewModel(cfg, FullOptions()), tr, sample, profile(t, cfg, tr, sample))
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := obs.NewCollectorWithClock(func() float64 { return 0 })
+	pr.SetRecorder(col)
+
+	arrays, spaces := legalMoves(tr, cfg, sample)
+	var local, twin *placement.Placement
+	for i := range arrays {
+		if !spaces[i].Remote() && spaces[i].OffChip() {
+			local = sample.WithMove(trace.ArrayID(arrays[i]), spaces[i])
+			twin = local.WithMove(trace.ArrayID(arrays[i]), remoteOf(spaces[i]))
+			break
+		}
+	}
+	if local == nil || placement.Check(tr, twin, cfg) != nil {
+		t.Fatal("vecadd on chiplet: no local off-chip move with a legal remote twin")
+	}
+	for _, pl := range []*placement.Placement{sample, local, twin} {
+		if _, err := pr.Predict(pl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := pr.PredictFull(twin); err != nil {
+		t.Fatal(err)
+	}
+
+	snap := col.Snapshot()
+	fast, exact := snap.Counter("model_merge_fast_total"), snap.Counter("model_merge_exact_total")
+	reused := snap.Counter("model_merge_reused_total")
+	// The sample was merged at construction and the twin shares the move's
+	// local projection; the move and the cache-bypassing PredictFull merge.
+	if reused != 2 || fast+exact != 2 {
+		t.Errorf("merges: fast %d + exact %d, reused %d; want 2 merged and 2 reused", fast, exact, reused)
+	}
+	if total := snap.Counter("model_predictions_total"); fast+exact+reused != total {
+		t.Errorf("merge-path counters sum to %d over %d predictions", fast+exact+reused, total)
 	}
 }

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 
 	"gpuhms/internal/gpu"
@@ -83,6 +86,8 @@ func remoteRequests(tr *trace.Trace, pl *placement.Placement) int64 {
 // remote/local variant of each with the memoized Predict. Each result must
 // equal a fresh predictor's cache-bypassing PredictFull, and its RemoteReqs
 // must equal the remote arrays' memory instructions counted from the trace.
+// Only the first variant of a local projection may build contributions or
+// group sims or merge: the others reuse them.
 func TestRemoteVariantsMatchFresh(t *testing.T) {
 	cfg := gpu.MustLookup("chiplet")
 	m := NewModel(cfg, FullOptions())
@@ -105,6 +110,16 @@ func TestRemoteVariantsMatchFresh(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			built := func() (contribs, groups, merges int) {
+				pr.cache.mu.Lock()
+				contribs, merges = len(pr.cache.m), len(pr.cache.analyses)
+				pr.cache.mu.Unlock()
+				pr.cache.groups.mu.Lock()
+				groups = len(pr.cache.groups.m)
+				pr.cache.groups.mu.Unlock()
+				return contribs, groups, merges
+			}
+
 			bases := []*placement.Placement{sample}
 			arrays, spaces := legalMoves(tr, cfg, sample)
 			for i := range arrays {
@@ -119,10 +134,15 @@ func TestRemoteVariantsMatchFresh(t *testing.T) {
 					continue
 				}
 				seen[key] = true
-				for _, v := range remoteVariants(tr, cfg, local) {
+				for j, v := range remoteVariants(tr, cfg, local) {
+					c0, g0, m0 := built()
 					got, err := pr.Predict(v)
 					if err != nil {
 						t.Fatal(err)
+					}
+					if c1, g1, m1 := built(); j > 0 && (c1 != c0 || g1 != g0 || m1 != m0) {
+						t.Errorf("%s: %s built %d contributions, %d group sims and %d merges after an earlier variant of its local projection",
+							name, v.Format(tr), c1-c0, g1-g0, m1-m0)
 					}
 					want, err := oracle.PredictFull(v)
 					if err != nil {
@@ -140,4 +160,57 @@ func TestRemoteVariantsMatchFresh(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestMergeMemoConcurrentClones drives the merge memo from several clones at
+// once: each walks every legal chiplet placement of a kernel in its own
+// order, so remote twins race to merge or reuse one local projection. Every
+// prediction must equal the one a separate predictor makes sequentially.
+func TestMergeMemoConcurrentClones(t *testing.T) {
+	cfg := gpu.MustLookup("chiplet")
+	m := NewModel(cfg, FullOptions())
+	spec := kernels.MustGet("tablelookup")
+	tr := spec.Trace(1)
+	sample, err := spec.SamplePlacement(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof := profile(t, cfg, tr, sample)
+	ref, err := NewPredictor(m, tr, sample, prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pls := placement.Enumerate(tr, cfg)
+	want := make([]*Prediction, len(pls))
+	for i, pl := range pls {
+		if want[i], err = ref.Predict(pl); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	pr, err := NewPredictor(m, tr, sample, prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 4
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int, clone *Predictor) {
+			defer wg.Done()
+			order := rand.New(rand.NewSource(int64(w))).Perm(len(pls))
+			for _, i := range order {
+				got, err := clone.Predict(pls[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("worker %d: %s diverges from a sequential predictor", w, pls[i].Format(tr))
+					return
+				}
+			}
+		}(w, pr.Clone())
+	}
+	wg.Wait()
 }

@@ -10,8 +10,9 @@
 # keeping internal/memsys the one reader of traces' lane patterns, vet and
 # test of the perfbench benchmark module, the full test suite under the race
 # detector, the placement-space walk and resolution-kernel oracle fuzz seeds
-# under race, one-pass benchmark smokes of parallel ranking, delta evaluation,
-# contribution builds and simulator runs, the wall-clock bounds the race pass
+# under race, one-pass benchmark smokes of parallel ranking, chiplet
+# exhaustive search, delta evaluation, contribution builds and simulator
+# runs, the wall-clock bounds the race pass
 # skips (run here without -race), a short
 # smoke of the observability no-op-overhead contract (the disabled recorder
 # must add zero allocations), a short chaos soak (scripts/soak.sh runs the
@@ -178,6 +179,11 @@ echo "== parallel rank bench smoke"
 # One pass of the scaling-curve benchmark; the determinism suite itself runs
 # in the race pass above.
 go test ./internal/advisor/ -run '^$' -bench 'BenchmarkRankParallel' -benchtime 1x -benchmem -count=1
+
+echo "== chiplet exhaustive search bench smoke"
+# One cold exhaustive top-10 search of chiplet spmv on one worker: the path
+# where remote variants reuse their local projection's merge.
+go test ./internal/advisor/ -run '^$' -bench 'BenchmarkSearchExhaustive' -benchtime 1x -benchmem -count=1
 
 echo "== delta eval bench smoke"
 go test ./internal/core/ -run '^$' -bench 'BenchmarkPredict(Delta|Full)$' -benchtime 20x -benchmem -count=1
