@@ -246,7 +246,10 @@ type Measurer = sim.Measurer
 // NewSimulator builds a simulator for the architecture.
 func NewSimulator(cfg *Config) *Simulator { return sim.New(cfg) }
 
-// Model is the paper's performance model; Prediction its output.
+// Model is the paper's performance model; Prediction its output. A
+// Prediction is read-only: on architectures with remote spaces its
+// Analysis shares its DRAM stream slices with the predictions of the same
+// placement's remote variants.
 type (
 	Model      = core.Model
 	Prediction = core.Prediction

@@ -56,41 +56,44 @@ func BenchmarkRankParallel(b *testing.B) {
 // BenchmarkSearchExhaustive measures one exhaustive top-10 search on one
 // worker with a fresh predictor, as a cold request runs it. On the chiplet
 // arch, spmv's 3,600 legal placements include every local/remote variant of
-// each local placement. The sample is profiled once; only the search is
-// timed, predictor construction is not.
+// each local placement; on k80 its 288 are all distinct local placements.
+// The sample is profiled once; only the search is timed, predictor
+// construction is not.
 func BenchmarkSearchExhaustive(b *testing.B) {
-	b.Run("chiplet/spmv", func(b *testing.B) {
-		cfg := gpu.MustLookup("chiplet")
-		a, err := New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		k := kernels.MustGet("spmv")
-		tr := k.Trace(1)
-		sample, err := k.SamplePlacement(tr)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ctx := context.Background()
-		pr, err := a.PredictorContext(ctx, tr, sample)
-		if err != nil {
-			b.Fatal(err)
-		}
-		prof := pr.Profile()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			fresh, err := core.NewPredictor(a.Model, tr, sample, prof)
+	for _, arch := range []string{"chiplet", "k80"} {
+		b.Run(arch+"/spmv", func(b *testing.B) {
+			cfg := gpu.MustLookup(arch)
+			a, err := New(cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.StartTimer()
-			if _, err := Search(ctx, cfg, tr, fresh, RankOptions{TopK: 10, Parallelism: 1}, nil); err != nil {
+			k := kernels.MustGet("spmv")
+			tr := k.Trace(1)
+			sample, err := k.SamplePlacement(tr)
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
+			ctx := context.Background()
+			pr, err := a.PredictorContext(ctx, tr, sample)
+			if err != nil {
+				b.Fatal(err)
+			}
+			prof := pr.Profile()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				fresh, err := core.NewPredictor(a.Model, tr, sample, prof)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if _, err := Search(ctx, cfg, tr, fresh, RankOptions{TopK: 10, Parallelism: 1}, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 func itoa(n int) string {

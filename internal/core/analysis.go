@@ -34,6 +34,12 @@ import (
 // PredictDelta, Model.AnalyzePlacement — assembles an Analysis through that
 // one path, so the same placement always yields a byte-identical Analysis no
 // matter how it was reached.
+//
+// An Analysis returned by a Predictor is read-only. On architectures with
+// remote spaces, the analyses of a placement and of its remote variants
+// share one BankStreams and one CtlStreams backing array (see
+// contribCache.merged): writing to either slice would change later
+// predictions of the same local projection.
 type Analysis struct {
 	Events perf.Events
 

@@ -795,6 +795,9 @@ type contribCache struct {
 	m        map[contribKey]*contribEntry
 
 	// analyses memoizes merged analyses by local projection (see merged).
+	// It is nil on architectures without remote spaces: there a local
+	// projection is the placement itself, which a search evaluates once, so
+	// a memo would only add work and hold every Analysis alive.
 	analyses map[string]*mergeEntry
 
 	// groups memoizes per-SM cache space group sims across the same clones
@@ -804,13 +807,16 @@ type contribCache struct {
 }
 
 func newContribCache(prog *program) *contribCache {
-	return &contribCache{
+	cc := &contribCache{
 		prog:     prog,
 		resolver: memsys.NewHierarchy(prog.cfg),
 		m:        make(map[contribKey]*contribEntry),
-		analyses: make(map[string]*mergeEntry),
 		groups:   groupCache{m: make(map[string]*groupEntry)},
 	}
+	if prog.cfg.HasRemote() {
+		cc.analyses = make(map[string]*mergeEntry)
+	}
+	return cc
 }
 
 // mergeEntry is one merge memo slot; once collapses concurrent mergers of the

@@ -89,7 +89,8 @@ func (p *SampleProfile) Validate() error {
 }
 
 // Prediction is one placement's predicted performance, with the Eq 1
-// decomposition exposed for ablation studies.
+// decomposition exposed for ablation studies. Its Analysis is read-only: its
+// stream slices may be shared with other predictions (see Analysis).
 type Prediction struct {
 	TimeNS    float64
 	Cycles    float64
@@ -240,11 +241,12 @@ type evalStats struct {
 // evalState runs the decomposed evaluation of a target placement: resolve the
 // layout, gather one contribution per array — reusing prev's where the
 // array's local binding is unchanged, then the shared cache, then a fresh
-// build — and merge them. Cached evaluations take the merge of target's local
-// projection from the memo (contribCache.merged) and recount RemoteReqs on a
-// shallow copy. With useCache false every contribution not taken from prev,
-// every group sim and the merge are rebuilt from scratch: the
-// full-evaluation fallback, identical math at cold-start cost.
+// build — and merge them. On architectures with remote spaces, cached
+// evaluations take the merge of target's local projection from the memo
+// (contribCache.merged) and recount RemoteReqs on a shallow copy. With
+// useCache false every contribution not taken from prev, every group sim and
+// the merge are rebuilt from scratch: the full-evaluation fallback,
+// identical math at cold-start cost.
 func (p *Predictor) evalState(target *placement.Placement, prev *DeltaState, useCache bool) (*Analysis, *DeltaState, evalStats) {
 	layout := placement.Retarget(p.trace, p.sampleLayout, p.sample, target)
 	contribs := make([]*contribution, len(target.Spaces))
@@ -275,7 +277,15 @@ func (p *Predictor) evalState(target *placement.Placement, prev *DeltaState, use
 		}
 	}
 	var an *Analysis
-	if useCache {
+	switch {
+	case !useCache:
+		// PredictFull bypasses the group-sim cache and the merge memo too:
+		// cache-distrusting evaluations rebuild every memoized input.
+		an, st.merge = p.merge(target, contribs, nil)
+	case p.cache.analyses == nil:
+		// No remote spaces, no merge memo (see contribCache.analyses).
+		an, st.merge = p.merge(target, contribs, &p.cache.groups)
+	default:
 		var local *Analysis
 		local, st.merge = p.cache.merged(target, func() (*Analysis, mergePath) {
 			return p.merge(target, contribs, &p.cache.groups)
@@ -283,10 +293,6 @@ func (p *Predictor) evalState(target *placement.Placement, prev *DeltaState, use
 		cp := *local
 		cp.RemoteReqs = remoteReqs(target, contribs)
 		an = &cp
-	} else {
-		// PredictFull bypasses the group-sim cache and the merge memo too:
-		// cache-distrusting evaluations rebuild every memoized input.
-		an, st.merge = p.merge(target, contribs, nil)
 	}
 	return an, &DeltaState{place: target.Clone(), layout: layout, contribs: contribs}, st
 }
@@ -335,8 +341,8 @@ func (p *Predictor) recordPrediction(rec obs.Recorder, pred *Prediction, span st
 // Predict returns the predicted performance of a target placement. It runs
 // the decomposed evaluation with the caches on, so repeated predictions
 // against one predictor pay only the merge pass for arrays whose bindings
-// have been seen before, and not even that for a placement whose local
-// projection was merged before.
+// have been seen before, and, on architectures with remote spaces, not even
+// that for a placement whose local projection was merged before.
 func (p *Predictor) Predict(target *placement.Placement) (*Prediction, error) {
 	pred, _, err := p.PredictState(target)
 	return pred, err

@@ -133,3 +133,41 @@ func TestPredictorCountsMergePaths(t *testing.T) {
 		t.Errorf("merge-path counters sum to %d over %d predictions", fast+exact+reused, total)
 	}
 }
+
+// TestMergeMemoOnlyWithRemote pins that the merge memo exists only on
+// architectures with remote spaces: without them every cached Predict
+// merges, even of a placement predicted before. The k80 allocation and
+// wall-clock gates (TestPredictAllocs, TestSearchWallClock,
+// BenchmarkRankParallel, BenchmarkPredictDelta) repeat placements on one
+// predictor and so time merges only because of this.
+func TestMergeMemoOnlyWithRemote(t *testing.T) {
+	for _, arch := range []string{"k80", "fermi", "hbm"} {
+		cfg := gpu.MustLookup(arch)
+		spec := kernels.MustGet("vecadd")
+		tr := spec.Trace(1)
+		sample, err := spec.SamplePlacement(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr, err := NewPredictor(NewModel(cfg, FullOptions()), tr, sample, profile(t, cfg, tr, sample))
+		if err != nil {
+			t.Fatal(err)
+		}
+		col := obs.NewCollectorWithClock(func() float64 { return 0 })
+		pr.SetRecorder(col)
+		const repeats = 3
+		for i := 0; i < repeats; i++ {
+			if _, err := pr.Predict(sample); err != nil {
+				t.Fatal(err)
+			}
+		}
+		snap := col.Snapshot()
+		fast, exact := snap.Counter("model_merge_fast_total"), snap.Counter("model_merge_exact_total")
+		if reused := snap.Counter("model_merge_reused_total"); reused != 0 || fast+exact != repeats {
+			t.Errorf("%s: %d predictions merged %d times, reused %d merges; want every one merged", arch, repeats, fast+exact, reused)
+		}
+		if pr.cache.analyses != nil {
+			t.Errorf("%s: merge memo allocated on an arch without remote spaces", arch)
+		}
+	}
+}

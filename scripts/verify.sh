@@ -180,9 +180,10 @@ echo "== parallel rank bench smoke"
 # in the race pass above.
 go test ./internal/advisor/ -run '^$' -bench 'BenchmarkRankParallel' -benchtime 1x -benchmem -count=1
 
-echo "== chiplet exhaustive search bench smoke"
-# One cold exhaustive top-10 search of chiplet spmv on one worker: the path
-# where remote variants reuse their local projection's merge.
+echo "== exhaustive search bench smoke"
+# One cold exhaustive top-10 search of spmv on one worker, on the chiplet
+# (remote variants reuse their local projection's merge) and on k80 (no
+# remote spaces, no merge memo).
 go test ./internal/advisor/ -run '^$' -bench 'BenchmarkSearchExhaustive' -benchtime 1x -benchmem -count=1
 
 echo "== delta eval bench smoke"
