@@ -248,8 +248,8 @@ func NewSimulator(cfg *Config) *Simulator { return sim.New(cfg) }
 
 // Model is the paper's performance model; Prediction its output. A
 // Prediction is read-only: on architectures with remote spaces its
-// Analysis shares its DRAM stream slices with the predictions of the same
-// placement's remote variants.
+// Analysis shares its prepared DRAM queuing network with the predictions of
+// the same placement's remote variants.
 type (
 	Model      = core.Model
 	Prediction = core.Prediction

@@ -37,9 +37,7 @@ import (
 //
 // An Analysis returned by a Predictor is read-only. On architectures with
 // remote spaces, the analyses of a placement and of its remote variants
-// share one BankStreams and one CtlStreams backing array (see
-// contribCache.merged): writing to either slice would change later
-// predictions of the same local projection.
+// share one prepared queuing Network (see contribCache.merged).
 type Analysis struct {
 	Events perf.Events
 
@@ -55,11 +53,12 @@ type Analysis struct {
 	TransPerOffchip float64 // avg first-level transactions per off-chip inst
 	MLP             float64 // mean consecutive-load run length per warp
 
-	// DRAM statistics in proxy time (ns at nominal full issue rate).
-	BankStreams []queuing.Stream
-	CtlStreams  []queuing.Stream
-	RawSpanNS   float64
-	RowCounts   dram.OutcomeCounts
+	// DRAM statistics in proxy time (ns at nominal full issue rate): the
+	// bank and controller queuing network, prepared once, and the span its
+	// inter-arrival statistics were measured over.
+	Network   queuing.Network
+	RawSpanNS float64
+	RowCounts dram.OutcomeCounts
 
 	// Staging.
 	StagingNS float64

@@ -635,8 +635,7 @@ func (p *program) analysisHeader(contribs []*contribution) *Analysis {
 // finishAnalysis recovers the analyzer statistics and closes the Analysis,
 // identically for both walks.
 func (p *program) finishAnalysis(a *Analysis, an *dram.Analyzer, pl *placement.Placement, proxyNS float64) *Analysis {
-	a.BankStreams = an.Streams()
-	a.CtlStreams = an.CtlStreams()
+	a.Network = an.Network()
 	a.RawSpanNS = proxyNS
 	a.RowCounts = an.Counts()
 	memsys.CountRowEvents(&a.Events, a.RowCounts)
@@ -831,7 +830,7 @@ type mergeEntry struct {
 // projection (every array's Base space) fixes the layout, every contribution
 // and every group sim, so the Analysis is the same for all of its remote
 // variants except RemoteReqs: callers copy it and recount that. The returned
-// Analysis, its BankStreams and CtlStreams included, is shared and read-only.
+// Analysis, its queuing Network included, is shared and read-only.
 func (cc *contribCache) merged(pl *placement.Placement, merge func() (*Analysis, mergePath)) (an *Analysis, path mergePath) {
 	var buf [32]byte
 	key := buf[:0]

@@ -313,3 +313,33 @@ func BenchmarkPredictFull(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDRAMLatency measures one Eq 1 assembly on the spmv sample
+// analysis. The queuing fixed point dominates it: about a dozen DRAM
+// latency evaluations over every bank and controller stream, the most on
+// the chiplet's 256 banks and 16 controllers.
+func BenchmarkDRAMLatency(b *testing.B) {
+	for _, arch := range []string{"k80", "chiplet"} {
+		b.Run(arch, func(b *testing.B) {
+			cfg := gpu.MustLookup(arch)
+			spec := kernels.MustGet("spmv")
+			tr := spec.Trace(1)
+			sample, err := spec.SamplePlacement(tr)
+			if err != nil {
+				b.Fatal(err)
+			}
+			pr, err := NewPredictor(NewModel(cfg, FullOptions()), tr, sample, profile(b, cfg, tr, sample))
+			if err != nil {
+				b.Fatal(err)
+			}
+			an := pr.Sample()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := pr.model.predictFrom(an, an, &pr.profile); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -178,10 +178,10 @@ func TestDramLatencyVariants(t *testing.T) {
 		x.RawSpanNS = 1000
 		x.RowCounts.Hits = 900
 		x.RowCounts.Misses = 100
-		x.BankStreams = []queuing.Stream{{
+		x.Network = queuing.NewNetwork([]queuing.Stream{{
 			TauA: 10, SigmaA: 30, TauS: 8, SigmaS: 2,
 			AccessNS: 400, Batch: 4, N: 500,
-		}}
+		}}, nil)
 	})
 	lat, q = mq.dramLatency(withStreams, 2000)
 	if q <= 0 {

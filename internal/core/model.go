@@ -426,26 +426,29 @@ func (m *Model) predictFrom(an, sampleAn *Analysis, prof *SampleProfile) (*Predi
 	// span → predicted span is decreasing (spreading arrivals lowers
 	// utilization and queuing delay), so the self-consistent span is the
 	// unique fixed point, found by bisection.
-	eval := func(spanNS float64) (total, tmem, toverlap, amat, dramNS, queueNS float64) {
-		dramNS, queueNS = m.dramLatency(an, spanNS)
-		amat = m.amat(an, dramNS)
-		tmem = m.tmem(an, amat)
-		toverlap = m.toverlap(an, tcomp, tmem, amat)
-		total = tcomp + tmem - toverlap
-		if total < tcomp {
-			total = tcomp
+	type terms struct{ total, tmem, toverlap, amat, dramNS, queueNS float64 }
+	eval := func(spanNS float64) (r terms) {
+		r.dramNS, r.queueNS = m.dramLatency(an, spanNS)
+		r.amat = m.amat(an, r.dramNS)
+		r.tmem = m.tmem(an, r.amat)
+		r.toverlap = m.toverlap(an, tcomp, r.tmem, r.amat)
+		r.total = tcomp + r.tmem - r.toverlap
+		if r.total < tcomp {
+			r.total = tcomp
 		}
-		return total, tmem, toverlap, amat, dramNS, queueNS
+		return r
 	}
 
 	nsPerCycle := cfg.NSPerCycle()
-	var tmem, amat, dramNS, queueNS, toverlap float64
-	if !m.Opts.Queuing || len(an.BankStreams) == 0 {
-		_, tmem, toverlap, amat, dramNS, queueNS = eval(0)
+	var at terms
+	if !m.Opts.Queuing || an.Network.Banks() == 0 {
+		at = eval(0)
 	} else {
 		// Bracket the fixed point: lo is the no-memory-cost span, hi is
-		// doubled until the predicted span falls below it.
-		uncontended, _, _, _, _, _ := eval(0)
+		// doubled until the predicted span falls below it. Once hi has been
+		// evaluated (atHi), at holds its terms, so the result needs no
+		// further evaluation.
+		uncontended := eval(0).total
 		lo := tcomp * nsPerCycle
 		if lo <= 0 {
 			lo = 1
@@ -454,9 +457,11 @@ func (m *Model) predictFrom(an, sampleAn *Analysis, prof *SampleProfile) (*Predi
 		if hi < lo {
 			hi = lo
 		}
+		atHi := false
 		for i := 0; i < 60; i++ {
-			total, _, _, _, _, _ := eval(hi)
-			if total*nsPerCycle <= hi {
+			r := eval(hi)
+			if r.total*nsPerCycle <= hi {
+				at, atHi = r, true
 				break
 			}
 			hi *= 2
@@ -464,23 +469,25 @@ func (m *Model) predictFrom(an, sampleAn *Analysis, prof *SampleProfile) (*Predi
 		}
 		for i := 0; i < 50 && hi-lo > 1e-3*hi; i++ {
 			mid := (lo + hi) / 2
-			total, _, _, _, _, _ := eval(mid)
-			if total*nsPerCycle > mid {
+			r := eval(mid)
+			if r.total*nsPerCycle > mid {
 				lo = mid
 			} else {
-				hi = mid
+				hi, at, atHi = mid, r, true
 			}
 			pred.FixedPointIters++
 		}
-		_, tmem, toverlap, amat, dramNS, queueNS = eval(hi)
+		if !atHi {
+			at = eval(hi)
+		}
 	}
-	pred.TMem = tmem
-	pred.TOverlap = toverlap
-	pred.AMAT = amat
-	pred.DRAMLatNS = dramNS
-	pred.QueueDelayNS = queueNS
+	pred.TMem = at.tmem
+	pred.TOverlap = at.toverlap
+	pred.AMAT = at.amat
+	pred.DRAMLatNS = at.dramNS
+	pred.QueueDelayNS = at.queueNS
 
-	pred.Cycles = tcomp + tmem - toverlap
+	pred.Cycles = tcomp + at.tmem - at.toverlap
 	if pred.Cycles < tcomp {
 		pred.Cycles = tcomp
 	}

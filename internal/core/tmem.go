@@ -1,7 +1,5 @@
 package core
 
-import "gpuhms/internal/queuing"
-
 // T_mem (§III-C, Eq 4–10 and Appendix Eq 17–19):
 //
 //	T_mem = Effective_memory_requests_per_SM × AMAT            (Eq 4)
@@ -21,7 +19,9 @@ import "gpuhms/internal/queuing"
 // stretched by the very memory stalls being modeled. predictFrom therefore
 // iterates: given the previous iterate's predicted span, all inter-arrival
 // statistics are scaled by span/rawSpan — a pure time-dilation that
-// preserves every c_a (Eq 10) — and the Kingman delay is re-evaluated.
+// preserves every c_a (Eq 10) — and the analysis's queuing network is
+// re-evaluated. The network was prepared once with the analysis, so a step
+// recomputes only the terms the dilation scales.
 // spanNS == 0 selects the first iterate: uncontended row-aware service time.
 func (m *Model) dramLatency(an *Analysis, spanNS float64) (lat, queue float64) {
 	topo := m.Cfg.DRAM
@@ -34,26 +34,10 @@ func (m *Model) dramLatency(an *Analysis, spanNS float64) (lat, queue float64) {
 		return topo.MissLatencyNS, 0
 	}
 	service := an.RowCounts.AvgServiceNS(topo)
-	if spanNS <= 0 || an.RawSpanNS <= 0 || len(an.BankStreams) == 0 {
+	if spanNS <= 0 || an.RawSpanNS <= 0 || an.Network.Banks() == 0 {
 		return service, 0
 	}
-	factor := spanNS / an.RawSpanNS
-	lat = queuing.SystemLatency(an.BankStreams, factor, m.Opts.Variant)
-
-	// Second queuing stage: the memory controllers' data buses. The network
-	// is composable — the controller's queuing delay simply adds to every
-	// request's latency.
-	var ctlN, ctlDelay float64
-	for _, s := range an.CtlStreams {
-		s.TauA *= factor
-		s.SigmaA *= factor
-		ctlDelay += float64(s.N) * queuing.QueuingDelay(s, m.Opts.Variant)
-		ctlN += float64(s.N)
-	}
-	if ctlN > 0 {
-		lat += ctlDelay / ctlN
-	}
-
+	lat = an.Network.Latency(spanNS/an.RawSpanNS, m.Opts.Variant)
 	if lat < service {
 		lat = service
 	}

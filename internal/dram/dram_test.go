@@ -2,10 +2,12 @@ package dram
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"gpuhms/internal/gpu"
+	"gpuhms/internal/queuing"
 )
 
 func topo() gpu.DRAMTopology { return gpu.KeplerK80().DRAM }
@@ -259,9 +261,12 @@ func TestAnalyzerMatchesManualReplay(t *testing.T) {
 	if c.Hits != 1 || c.Misses != 1 || c.Conflicts != 1 {
 		t.Errorf("counts = %+v", c)
 	}
-	streams := a.Streams()
+	streams := bankStreams(a)
 	if len(streams) != 1 {
 		t.Fatalf("streams = %d", len(streams))
+	}
+	if net := a.Network(); net.Banks() != 1 {
+		t.Errorf("network banks = %d", net.Banks())
 	}
 	st := streams[0]
 	if st.N != 3 {
@@ -302,7 +307,7 @@ func TestAnalyzerBatchDetection(t *testing.T) {
 			a.Add(uint64(i)*32, base+float64(i)*0.1)
 		}
 	}
-	st := a.Streams()
+	st := bankStreams(a)
 	if len(st) != 1 {
 		t.Fatalf("streams = %d", len(st))
 	}
@@ -319,7 +324,7 @@ func TestAnalyzerCtlStreams(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		a.Add(uint64(i)*bankStride, float64(i))
 	}
-	cs := a.CtlStreams()
+	cs := ctlStreams(a)
 	if len(cs) != tp.Controllers {
 		t.Fatalf("ctl streams = %d, want %d", len(cs), tp.Controllers)
 	}
@@ -349,4 +354,18 @@ func TestMeanCa(t *testing.T) {
 	if std != 0 {
 		t.Errorf("single-bank std = %g", std)
 	}
+}
+
+// bankStreams returns the bank stage Network prepares: the stream of every
+// bank that saw a request, in bank order.
+func bankStreams(a *Analyzer) []queuing.Stream {
+	st, nb := a.stage()
+	return slices.Clone(st[:nb])
+}
+
+// ctlStreams returns the controller stage Network prepares: the stream of
+// every controller that saw a request, in controller order.
+func ctlStreams(a *Analyzer) []queuing.Stream {
+	st, nb := a.stage()
+	return slices.Clone(st[nb:])
 }

@@ -73,7 +73,7 @@ func TestAnalyzerTallyConsistency(t *testing.T) {
 		// total service time: the per-bank tallies partition the aggregate.
 		var streamN int64
 		var perBankNS float64
-		for _, st := range a.Streams() {
+		for _, st := range bankStreams(a) {
 			streamN += st.N
 			perBankNS += float64(st.N) * st.AccessNS
 		}
@@ -82,7 +82,7 @@ func TestAnalyzerTallyConsistency(t *testing.T) {
 			return false
 		}
 		var ctlN int64
-		for _, st := range a.CtlStreams() {
+		for _, st := range ctlStreams(a) {
 			ctlN += st.N
 		}
 		return streamN == int64(n) && ctlN == int64(n)
@@ -107,7 +107,7 @@ func TestSlowerArrivalsLowerUtilization(t *testing.T) {
 			a.Add(addr, float64(i)*scale)
 		}
 		total := 0.0
-		for _, st := range a.Streams() {
+		for _, st := range bankStreams(a) {
 			total += st.Rho()
 		}
 		return total

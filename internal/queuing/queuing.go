@@ -66,20 +66,10 @@ type Stream struct {
 
 // Ca returns the coefficient of variation of the inter-arrival times
 // (Eq 10).
-func (s Stream) Ca() float64 {
-	if s.TauA == 0 {
-		return 0
-	}
-	return s.SigmaA / s.TauA
-}
+func (s Stream) Ca() float64 { return cov(s.SigmaA, s.TauA) }
 
 // Cs returns the coefficient of variation of the service times (Eq 10).
-func (s Stream) Cs() float64 {
-	if s.TauS == 0 {
-		return 0
-	}
-	return s.SigmaS / s.TauS
-}
+func (s Stream) Cs() float64 { return cov(s.SigmaS, s.TauS) }
 
 // Lambda returns the average arrival rate λ = 1/τ_a.
 func (s Stream) Lambda() float64 {
@@ -90,11 +80,23 @@ func (s Stream) Lambda() float64 {
 }
 
 // Rho returns the server utilization ρ = τ_s/τ_a, capped at MaxUtilization.
-func (s Stream) Rho() float64 {
-	if s.TauA == 0 {
+func (s Stream) Rho() float64 { return utilization(s.TauS, s.TauA) }
+
+// cov is Eq 10's coefficient of variation σ/τ, 0 when τ is.
+func cov(sigma, tau float64) float64 {
+	if tau == 0 {
 		return 0
 	}
-	rho := s.TauS / s.TauA
+	return sigma / tau
+}
+
+// utilization is ρ = τ_s/τ_a, capped at MaxUtilization and floored at 0;
+// 0 when τ_a is.
+func utilization(tauS, tauA float64) float64 {
+	if tauA == 0 {
+		return 0
+	}
+	rho := tauS / tauA
 	if rho > MaxUtilization {
 		rho = MaxUtilization
 	}
@@ -107,78 +109,160 @@ func (s Stream) Rho() float64 {
 // QueuingDelay returns the average queuing delay W_q for the stream under
 // the chosen variant, in the stream's time unit.
 func QueuingDelay(s Stream, v Variant) float64 {
-	if s.N == 0 || s.TauA == 0 || s.TauS == 0 {
+	if s.N == 0 {
 		return 0
 	}
-	rho := s.Rho()
-	congestion := rho / (1 - rho)
+	sv := prepare(s)
+	return sv.delay(1, v)
+}
+
+// server is one stream prepared for repeated evaluation under a time
+// dilation f: the inter-arrival statistics, which f scales, are kept as
+// measured; every term f leaves alone is computed once.
+type server struct {
+	tauA, sigmaA float64 // inter-arrival mean / stddev at f = 1
+	tauS         float64 // service mean
+	cs           float64 // c_s = σ_s/τ_s (Eq 10)
+	batch        float64 // batch wait (B−1)/2·τ_s, 0 when B ≤ 1
+	backlog      float64 // backlog cap N·τ_s
+	access       float64 // mean access latency: AccessNS, or τ_s when 0
+	w            float64 // weight in the network's latency mean
+}
+
+// prepare computes a stream's dilation-free terms.
+func prepare(s Stream) server {
+	sv := server{
+		tauA:    s.TauA,
+		sigmaA:  s.SigmaA,
+		tauS:    s.TauS,
+		cs:      s.Cs(),
+		backlog: float64(s.N) * s.TauS,
+		access:  s.AccessNS,
+	}
 	// Batch-arrival correction (M[X]/G/1-style): each request in a batch of
 	// B waits on average (B−1)/2 services of its batch-mates, regardless of
 	// long-run utilization.
-	batch := 0.0
 	if s.Batch > 1 {
-		batch = (s.Batch - 1) / 2 * s.TauS
+		sv.batch = (s.Batch - 1) / 2 * s.TauS
+	}
+	if sv.access == 0 {
+		sv.access = s.TauS
+	}
+	return sv
+}
+
+// delay is Eq 9: the server's average queuing delay W_q under variant v
+// with its inter-arrival statistics stretched by f. It is the only
+// implementation of the formula.
+func (s *server) delay(f float64, v Variant) float64 {
+	ta := s.tauA * f
+	if ta == 0 || s.tauS == 0 {
+		return 0
+	}
+	rho := utilization(s.tauS, ta)
+	congestion := rho / (1 - rho)
+	var w float64
+	switch v {
+	case PaperKingman:
+		ca := cov(s.sigmaA*f, ta)
+		w = (ca + s.cs) / 2 * congestion * ta
+	case ClassicKingman:
+		ca := cov(s.sigmaA*f, ta)
+		w = (ca*ca + s.cs*s.cs) / 2 * congestion * s.tauS
+	case MM1:
+		return congestion * s.tauS
 	}
 	// The heavy-traffic term diverges as ρ approaches the cap; physically, a
 	// request can never wait longer than the server's entire backlog over
 	// the observation window, N services.
-	backlog := float64(s.N) * s.TauS
-	var w float64
-	switch v {
-	case PaperKingman:
-		w = (s.Ca() + s.Cs()) / 2 * congestion * s.TauA
-	case ClassicKingman:
-		ca, cs := s.Ca(), s.Cs()
-		w = (ca*ca + cs*cs) / 2 * congestion * s.TauS
-	case MM1:
-		return congestion * s.TauS
-	}
-	if w > backlog {
-		w = backlog
+	if w > s.backlog {
+		w = s.backlog
 	}
 	// Burstiness drives both terms — the heavy-traffic term through c_a and
 	// the batch term directly — so summing them double-counts; the larger
 	// one dominates the wait.
-	if batch > w {
-		return batch
+	if s.batch > w {
+		return s.batch
 	}
 	return w
 }
 
-// BankLatency returns the average memory access latency of one bank:
-// queuing delay plus average service latency (Eq 6).
-func BankLatency(s Stream, v Variant) float64 {
-	access := s.AccessNS
-	if access == 0 {
-		access = s.TauS
-	}
-	return QueuingDelay(s, v) + access
+// Network is the two-stage queuing network of one DRAM analysis, prepared
+// once and then evaluated at any time dilation: the banks (Eq 6–10) and,
+// composed behind them, the memory controllers' data buses. Only streams
+// that saw requests are kept. A Network is read-only after NewNetwork and
+// safe for concurrent use.
+type Network struct {
+	servers []server // bank servers, then controller servers
+	banks   int      // number of bank servers
+	ctlN    float64  // ΣN over the controller servers
 }
 
-// SystemLatency combines per-bank latencies into the system-wide average
-// DRAM access latency, weighting each bank by its arrival rate (Eq 7).
-// Over a common observation window the arrival rate λ_i is proportional to
-// the bank's request count, so the weights are the per-bank N values — this
-// avoids over-weighting banks whose few requests arrive in one tight burst.
-//
-// Each bank's inter-arrival statistics are first stretched by dilation, a
-// pure time-dilation that preserves every c_a (1 leaves them as measured);
-// the banks are copied by value, so the caller's streams are untouched.
-func SystemLatency(banks []Stream, dilation float64, v Variant) float64 {
-	var sumN, acc float64
-	for _, b := range banks {
-		sumN += float64(b.N)
+// NewNetwork prepares the network of the given bank and controller streams.
+// Streams with N = 0 are dropped.
+func NewNetwork(banks, ctls []Stream) Network {
+	// Eq 7 weights each bank by its arrival rate. Over a common observation
+	// window λ_i is proportional to the bank's request count, so the weights
+	// are the per-bank N values — this avoids over-weighting banks whose few
+	// requests arrive in one tight burst.
+	var sumN float64
+	nb, nc := 0, 0
+	for i := range banks {
+		sumN += float64(banks[i].N)
+		if banks[i].N != 0 {
+			nb++
+		}
 	}
-	if sumN == 0 {
-		return 0
+	for i := range ctls {
+		if ctls[i].N != 0 {
+			nc++
+		}
 	}
-	for _, b := range banks {
-		if b.N == 0 {
+	n := Network{servers: make([]server, 0, nb+nc), banks: nb}
+	for _, s := range banks {
+		if s.N == 0 {
 			continue
 		}
-		b.TauA *= dilation
-		b.SigmaA *= dilation
-		acc += float64(b.N) / sumN * BankLatency(b, v)
+		sv := prepare(s)
+		sv.w = float64(s.N) / sumN
+		n.servers = append(n.servers, sv)
 	}
-	return acc
+	// The controllers' delays are averaged over their requests.
+	for _, s := range ctls {
+		if s.N == 0 {
+			continue
+		}
+		sv := prepare(s)
+		sv.w = float64(s.N)
+		n.ctlN += sv.w
+		n.servers = append(n.servers, sv)
+	}
+	return n
+}
+
+// Banks returns the number of bank servers that saw requests.
+func (n *Network) Banks() int { return n.banks }
+
+// Latency returns the system-wide average access latency at the given time
+// dilation of every inter-arrival statistic (1 leaves them as measured; a
+// pure dilation preserves every c_a). Each bank's latency is its queuing
+// delay plus its access latency (Eq 6), weighted by its share of the
+// requests (Eq 7). The network is composable: the controllers' mean
+// queuing delay adds to every request's latency.
+func (n *Network) Latency(dilation float64, v Variant) float64 {
+	var lat float64
+	banks, ctls := n.servers[:n.banks], n.servers[n.banks:]
+	for i := range banks {
+		s := &banks[i]
+		lat += s.w * (s.delay(dilation, v) + s.access)
+	}
+	if n.ctlN > 0 {
+		var delay float64
+		for i := range ctls {
+			s := &ctls[i]
+			delay += s.w * s.delay(dilation, v)
+		}
+		lat += delay / n.ctlN
+	}
+	return lat
 }

@@ -127,13 +127,15 @@ func TestBankLatencyUsesAccessLatency(t *testing.T) {
 	// not Wq + occupancy.
 	s := Stream{TauA: 100, SigmaA: 0, TauS: 8, SigmaS: 0, AccessNS: 352, N: 50}
 	wq := QueuingDelay(s, PaperKingman)
-	if got := BankLatency(s, PaperKingman); math.Abs(got-(wq+352)) > 1e-9 {
-		t.Errorf("BankLatency = %g, want %g", got, wq+352)
+	net := NewNetwork([]Stream{s}, nil)
+	if got := net.Latency(1, PaperKingman); math.Abs(got-(wq+352)) > 1e-9 {
+		t.Errorf("bank latency = %g, want %g", got, wq+352)
 	}
 	// Without AccessNS, fall back to TauS.
 	s.AccessNS = 0
-	if got := BankLatency(s, PaperKingman); math.Abs(got-(wq+8)) > 1e-9 {
-		t.Errorf("BankLatency fallback = %g, want %g", got, wq+8)
+	net = NewNetwork([]Stream{s}, nil)
+	if got := net.Latency(1, PaperKingman); math.Abs(got-(wq+8)) > 1e-9 {
+		t.Errorf("bank latency fallback = %g, want %g", got, wq+8)
 	}
 }
 
@@ -141,16 +143,18 @@ func TestSystemLatencyWeighting(t *testing.T) {
 	// Eq 7: banks weighted by their request counts.
 	a := Stream{TauA: 100, TauS: 8, AccessNS: 300, N: 300}
 	b := Stream{TauA: 100, TauS: 8, AccessNS: 600, N: 100}
-	got := SystemLatency([]Stream{a, b}, 1, MM1)
-	la, lb := BankLatency(a, MM1), BankLatency(b, MM1)
+	net := NewNetwork([]Stream{a, b}, nil)
+	got := net.Latency(1, MM1)
+	la := QueuingDelay(a, MM1) + a.AccessNS
+	lb := QueuingDelay(b, MM1) + b.AccessNS
 	want := 0.75*la + 0.25*lb
 	if math.Abs(got-want) > 1e-9 {
-		t.Errorf("SystemLatency = %g, want %g", got, want)
+		t.Errorf("system latency = %g, want %g", got, want)
 	}
-	if SystemLatency(nil, 1, MM1) != 0 {
+	if net := NewNetwork(nil, nil); net.Latency(1, MM1) != 0 || net.Banks() != 0 {
 		t.Error("empty system should be 0")
 	}
-	if SystemLatency([]Stream{{N: 0}}, 1, MM1) != 0 {
+	if net := NewNetwork([]Stream{{N: 0}}, nil); net.Latency(1, MM1) != 0 || net.Banks() != 0 {
 		t.Error("all-idle system should be 0")
 	}
 }

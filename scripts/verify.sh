@@ -7,7 +7,8 @@
 # guard keeping internal/memsys the one writer of the memory-event counters
 # shared by the model and the simulator, a guard keeping one DRAM model per
 # side (c_a defined once, in dram.Analyzer; no Mapping setting), a guard
-# keeping internal/memsys the one reader of traces' lane patterns, vet and
+# keeping internal/queuing the one implementation of the queuing formula, a
+# guard keeping internal/memsys the one reader of traces' lane patterns, vet and
 # test of the perfbench benchmark module, the full test suite under the race
 # detector, the placement-space walk and resolution-kernel oracle fuzz seeds
 # under race, one-pass benchmark smokes of parallel ranking, chiplet
@@ -137,6 +138,19 @@ if [ -n "$dramdup" ]; then
     exit 1
 fi
 
+echo "== one queuing formula"
+# internal/queuing holds Eq 9 once: a prepared Network evaluates every bank
+# and controller stream at a dilation, and QueuingDelay runs the same
+# per-server code. No other non-test Go reads a stream's arrival or service
+# statistics or composes the network latency itself.
+queues=$(git grep --untracked -n -E '\.(TauA|SigmaA|TauS|SigmaS)\b|queuing\.SystemLatency' -- '*.go' \
+    ':!*_test.go' ':!perfbench' ':!internal/queuing' || true)
+if [ -n "$queues" ]; then
+    echo "verify: queuing statistics read outside internal/queuing; evaluate through queuing.Network:" >&2
+    echo "$queues" >&2
+    exit 1
+fi
+
 echo "== one lane-resolution path"
 # Memory instructions store an interned lane pattern and a first index;
 # internal/memsys resolves them (memoized per pattern and residue) and
@@ -187,7 +201,9 @@ echo "== exhaustive search bench smoke"
 go test ./internal/advisor/ -run '^$' -bench 'BenchmarkSearchExhaustive' -benchtime 1x -benchmem -count=1
 
 echo "== delta eval bench smoke"
-go test ./internal/core/ -run '^$' -bench 'BenchmarkPredict(Delta|Full)$' -benchtime 20x -benchmem -count=1
+# Delta and full evaluation, and one Eq 1 assembly (the queuing fixed point
+# over the prepared network) on k80 and the chiplet.
+go test ./internal/core/ -run '^$' -bench 'BenchmarkPredict(Delta|Full)$|BenchmarkDRAMLatency' -benchtime 20x -benchmem -count=1
 
 echo "== resolution kernel bench smoke"
 go test ./internal/core/ -run '^$' -bench 'BenchmarkBuildContribution' -benchtime 1x -benchmem -count=1
