@@ -167,63 +167,59 @@ func (a *Analyzer) Network() queuing.Network {
 // stage fills the staging buffer with the stream of every bank that saw a
 // request, in bank order, then of every controller that did; nb counts the
 // bank streams. The next call overwrites the buffer.
+//
+// A bank stream takes the occupancy statistics as its service process (they
+// bound throughput) and the row-buffer-dependent mean access latency as
+// AccessNS (Eq 8); a bank with a single request has zero inter-arrival
+// statistics and contributes only its access latency. A controller stream
+// models the channel's data bus: deterministic service (the per-line bus
+// occupancy) fed by the union of its banks' arrivals. This is the second
+// stage of the composable queuing network — "the queuing model is highly
+// composable and flexible, allowing us to model the combination of diverse
+// memory systems".
 func (a *Analyzer) stage() (st []queuing.Stream, nb int) {
 	if a.streams == nil {
 		a.streams = make([]queuing.Stream, 0, len(a.rows)+len(a.ctlN))
 	}
 	st = a.streams[:0]
 	for b := range a.rows {
-		if a.service[b].N() > 0 {
-			st = append(st, a.bankStream(b))
+		if a.service[b].N() == 0 {
+			continue
 		}
+		n := a.service[b].N()
+		batch := 1.0
+		if a.batches[b] > 0 {
+			batch = float64(n) / float64(a.batches[b])
+		}
+		st = append(st, queuing.Stream{
+			TauA:     a.arrival[b].Mean(),
+			SigmaA:   a.arrival[b].StdDev(),
+			TauS:     a.service[b].Mean(),
+			SigmaS:   a.service[b].StdDev(),
+			AccessNS: a.counts[b].AvgServiceNS(a.topo),
+			Batch:    batch,
+			N:        n,
+		})
 	}
 	nb = len(st)
 	for c := range a.ctlN {
-		if a.ctlN[c] > 0 {
-			st = append(st, a.ctlStream(c))
+		if a.ctlN[c] == 0 {
+			continue
 		}
+		batch := 1.0
+		if a.ctlBatches[c] > 0 {
+			batch = float64(a.ctlN[c]) / float64(a.ctlBatches[c])
+		}
+		st = append(st, queuing.Stream{
+			TauA:   a.ctlArrival[c].Mean(),
+			SigmaA: a.ctlArrival[c].StdDev(),
+			TauS:   a.topo.CtlBusyNS,
+			SigmaS: 0,
+			Batch:  batch,
+			N:      a.ctlN[c],
+		})
 	}
 	return st, nb
-}
-
-// bankStream summarizes one bank as a queuing stream: occupancy statistics
-// as the service process (they bound throughput), the row-buffer-dependent
-// mean access latency as AccessNS (Eq 8). A bank with a single request has
-// zero inter-arrival statistics and contributes only its access latency.
-func (a *Analyzer) bankStream(b int) queuing.Stream {
-	n := a.service[b].N()
-	batch := 1.0
-	if a.batches[b] > 0 {
-		batch = float64(n) / float64(a.batches[b])
-	}
-	return queuing.Stream{
-		TauA:     a.arrival[b].Mean(),
-		SigmaA:   a.arrival[b].StdDev(),
-		TauS:     a.service[b].Mean(),
-		SigmaS:   a.service[b].StdDev(),
-		AccessNS: a.counts[b].AvgServiceNS(a.topo),
-		Batch:    batch,
-		N:        n,
-	}
-}
-
-// ctlStream summarizes one memory controller's data bus as a queuing
-// stream: deterministic service (the per-line bus occupancy) fed by the
-// union of its banks' arrivals. This is the second stage of the composable
-// queuing network — "the queuing model is highly composable and flexible,
-// allowing us to model the combination of diverse memory systems".
-func (a *Analyzer) ctlStream(c int) queuing.Stream {
-	batch := 1.0
-	if a.ctlBatches[c] > 0 {
-		batch = float64(a.ctlN[c]) / float64(a.ctlBatches[c])
-	}
-	return queuing.Stream{
-		TauA:   a.ctlArrival[c].Mean(),
-		SigmaA: a.ctlArrival[c].StdDev(),
-		TauS:   a.topo.CtlBusyNS,
-		Batch:  batch,
-		N:      a.ctlN[c],
-	}
 }
 
 // MeanCa returns the arrival-CoV averaged over active banks and its standard

@@ -198,27 +198,18 @@ type Network struct {
 	ctlN    float64  // ΣN over the controller servers
 }
 
-// NewNetwork prepares the network of the given bank and controller streams.
-// Streams with N = 0 are dropped.
+// NewNetwork prepares the network of the given bank and controller streams
+// in one slice sized for all of them. Streams with N = 0 are dropped.
 func NewNetwork(banks, ctls []Stream) Network {
 	// Eq 7 weights each bank by its arrival rate. Over a common observation
 	// window λ_i is proportional to the bank's request count, so the weights
 	// are the per-bank N values — this avoids over-weighting banks whose few
 	// requests arrive in one tight burst.
 	var sumN float64
-	nb, nc := 0, 0
 	for i := range banks {
 		sumN += float64(banks[i].N)
-		if banks[i].N != 0 {
-			nb++
-		}
 	}
-	for i := range ctls {
-		if ctls[i].N != 0 {
-			nc++
-		}
-	}
-	n := Network{servers: make([]server, 0, nb+nc), banks: nb}
+	n := Network{servers: make([]server, 0, len(banks)+len(ctls))}
 	for _, s := range banks {
 		if s.N == 0 {
 			continue
@@ -227,6 +218,7 @@ func NewNetwork(banks, ctls []Stream) Network {
 		sv.w = float64(s.N) / sumN
 		n.servers = append(n.servers, sv)
 	}
+	n.banks = len(n.servers)
 	// The controllers' delays are averaged over their requests.
 	for _, s := range ctls {
 		if s.N == 0 {
