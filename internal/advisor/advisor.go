@@ -39,9 +39,13 @@ func checkConfig(cfg *gpu.Config) error {
 // measurer used to profile sample placements.
 //
 // An Advisor is safe for concurrent use once constructed, provided its
-// fields are not mutated afterwards and any substituted Measurer is itself
-// concurrency-safe: every search builds its own predictor and (with a nil
-// Measurer) its own simulator, and the trained model is read-only.
+// exported fields are not mutated afterwards and any substituted Measurer is
+// itself concurrency-safe: every search builds its own trace and predictor
+// and (with a nil Measurer) its own simulator, and the trained model is
+// read-only. The one shared mutable state is the memo of sample profiles
+// behind KernelPredictor, which is locked and singleflighted. The zero value
+// of the memo is ready, so an Advisor may be built as a struct literal; it
+// must not be copied after first use.
 type Advisor struct {
 	Cfg   *gpu.Config
 	Model *core.Model
@@ -57,6 +61,10 @@ type Advisor struct {
 	// a budget-limited ranking). Nil disables recording. When Measurer is
 	// nil, the recorder is also threaded into the fresh simulator.
 	Recorder obs.Recorder
+
+	// profiles memoizes KernelPredictor's sample profiles when Measurer is
+	// nil.
+	profiles profileMemo
 }
 
 // rec normalizes the advisor's optional recorder.
@@ -207,39 +215,12 @@ func (a *Advisor) Predictor(t *trace.Trace, sample *placement.Placement) (*core.
 	return a.PredictorContext(context.Background(), t, sample)
 }
 
-// PredictorContext is Predictor with cancellation of the profiling run.
+// PredictorContext is Predictor with cancellation of the profiling run. It
+// serves arbitrary traces, so it profiles on every call; registry requests
+// go through KernelPredictor, which memoizes the profile.
 func (a *Advisor) PredictorContext(ctx context.Context, t *trace.Trace, sample *placement.Placement) (pr *core.Predictor, err error) {
 	defer hmserr.Guard(&err)
-	if err := checkConfig(a.Cfg); err != nil {
-		return nil, err
-	}
-	if t == nil {
-		return nil, hmserr.Wrap(hmserr.ErrInvalidTrace, "nil trace")
-	}
-	// Validating a large trace costs tens of milliseconds, so it polls the
-	// context: a canceled request stops there, before any profiling.
-	if err := t.ValidateContext(ctx); err != nil {
-		return nil, err
-	}
-	rec := a.rec()
-	var start float64
-	if rec.Enabled() {
-		start = rec.Now()
-	}
-	prof, err := a.measurer().RunContext(ctx, t, sample, sample)
-	if err != nil {
-		return nil, fmt.Errorf("gpuhms: profiling sample placement: %w", err)
-	}
-	if rec.Enabled() {
-		rec.Span("advisor", "profile "+sample.Format(t), start, rec.Now()-start)
-	}
-	p, err := core.NewPredictor(a.Model, t, sample,
-		core.SampleProfile{TimeNS: prof.TimeNS, Events: prof.Events})
-	if err != nil {
-		return nil, err
-	}
-	p.SetRecorder(a.Recorder)
-	return p, nil
+	return a.predictor(ctx, t, sample, nil)
 }
 
 // MeasureOn runs a placement on the ground-truth simulator (the "hardware"

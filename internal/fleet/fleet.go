@@ -27,7 +27,6 @@ import (
 	"gpuhms/internal/core"
 	"gpuhms/internal/gpu"
 	"gpuhms/internal/hmserr"
-	"gpuhms/internal/kernels"
 	"gpuhms/internal/obs"
 	"gpuhms/internal/placement"
 	"gpuhms/internal/trace"
@@ -353,11 +352,6 @@ func NewProblem(ctx context.Context, adv *advisor.Advisor, tenants []Tenant, opt
 		if t.Weight <= 0 {
 			t.Weight = 1
 		}
-		tr, sample, err := kernels.Resolve(adv.Cfg, t.Kernel, t.Scale, t.Sample)
-		if err != nil {
-			return nil, fmt.Errorf("fleet tenant %q: %w", t.Name, err)
-		}
-
 		// The per-tenant menu search draws from one shared eval budget, like
 		// the engine's own token pool across workers.
 		remaining := 0
@@ -371,7 +365,7 @@ func NewProblem(ctx context.Context, adv *advisor.Advisor, tenants []Tenant, opt
 		if rec.Enabled() {
 			menuStart = rec.Now()
 		}
-		pr, err := adv.PredictorContext(ctx, tr, sample)
+		tr, sample, pr, err := adv.KernelPredictor(ctx, t.Kernel, t.Scale, t.Sample)
 		if err != nil {
 			return nil, fmt.Errorf("fleet tenant %q: %w", t.Name, err)
 		}

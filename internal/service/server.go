@@ -17,7 +17,6 @@ import (
 	"gpuhms/internal/fleet"
 	"gpuhms/internal/gpu"
 	"gpuhms/internal/hmserr"
-	"gpuhms/internal/kernels"
 	"gpuhms/internal/obs"
 	"gpuhms/internal/placement"
 	"gpuhms/internal/snapshot"
@@ -451,9 +450,10 @@ func (s *Server) doCompare(reqCtx context.Context, req *CompareRequest) (*Compar
 }
 
 // runRank executes one ranking search on a worker.
-func (s *Server) runRank(ctx context.Context, adv *advisor.Advisor, req *RankRequest) (*RankResponse, error) {
+func (s *Server) runRank(ctx context.Context, adv *advisor.Advisor, req *RankRequest) (resp *RankResponse, err error) {
+	defer hmserr.Guard(&err)
 	s.col.Add(obs.MetricServiceSearchesTotal, 1)
-	tr, sample, err := kernels.Resolve(adv.Cfg, req.Kernel, req.Scale, req.Sample)
+	tr, sample, pr, err := adv.KernelPredictor(ctx, req.Kernel, req.Scale, req.Sample)
 	if err != nil {
 		return nil, err
 	}
@@ -467,12 +467,12 @@ func (s *Server) runRank(ctx context.Context, adv *advisor.Advisor, req *RankReq
 	if err != nil {
 		return nil, err
 	}
-	res, err := adv.RankPlacements(ctx, tr, sample, advisor.RankOptions{
+	res, err := advisor.Search(ctx, adv.Cfg, tr, pr, advisor.RankOptions{
 		TopK:          req.TopK,
 		MaxCandidates: req.MaxCandidates,
 		Parallelism:   parallelism,
 		Strategy:      strat,
-	})
+	}, adv.Recorder)
 	return NewRankResponse(req.Arch, req.Kernel, req.Scale, tr, sample, res, err)
 }
 
@@ -512,7 +512,7 @@ func NewRankResponse(arch, kernel string, scale int, tr *trace.Trace, sample *pl
 
 // runPredict executes one single-placement prediction on a worker.
 func (s *Server) runPredict(ctx context.Context, adv *advisor.Advisor, req *PredictRequest) (*PredictResponse, error) {
-	tr, sample, err := kernels.Resolve(adv.Cfg, req.Kernel, req.Scale, req.Sample)
+	tr, sample, pr, err := adv.KernelPredictor(ctx, req.Kernel, req.Scale, req.Sample)
 	if err != nil {
 		return nil, err
 	}
@@ -521,10 +521,6 @@ func (s *Server) runPredict(ctx context.Context, adv *advisor.Advisor, req *Pred
 		return nil, err
 	}
 	if err := placement.Check(tr, target, adv.Cfg); err != nil {
-		return nil, err
-	}
-	pr, err := adv.PredictorContext(ctx, tr, sample)
-	if err != nil {
 		return nil, err
 	}
 	p, err := pr.Predict(target)
