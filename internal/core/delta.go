@@ -105,8 +105,29 @@ func newProgram(cfg *gpu.Config, t *trace.Trace) *program {
 	p := &program{cfg: cfg, t: t, activeSMs: cfg.ActiveSMs(t.Launch.Blocks)}
 	p.slotNS = cfg.NSPerCycle() / float64(p.activeSMs)
 	p.l2x = cache.NewIndexer(cfg.L2)
-	p.arrayInsts = make([][]trace.Inst, len(t.Arrays))
+
+	// One counting pass sizes every schedule slice exactly, so the lockstep
+	// walk below never grows one.
 	counts := make([]int32, len(t.Arrays))
+	var mem, other int
+	for wi := range t.Warps {
+		for i := range t.Warps[wi].Inst {
+			if in := &t.Warps[wi].Inst[i]; in.Op.IsMem() {
+				counts[in.Array]++
+				mem++
+			} else {
+				other++
+			}
+		}
+	}
+	p.refs = make([]memRef, 0, mem)
+	p.refPre = make([]int32, 0, mem)
+	p.slotSeq = make([]int32, 0, other)
+	p.arrayInsts = make([][]trace.Inst, len(t.Arrays))
+	for a, n := range counts {
+		p.arrayInsts[a] = make([]trace.Inst, 0, n)
+		counts[a] = 0 // reused below as each array's running ordinal
+	}
 
 	pcs := make([]int, len(t.Warps))
 	inRun := make([]bool, len(t.Warps)) // per-warp consecutive-load run state
@@ -253,10 +274,14 @@ func (p *program) buildContribution(resolver *memsys.Hierarchy, array trace.Arra
 		staticReplays: make([]int32, len(insts)),
 	}
 	offchip := space != gpu.Shared
+	var buf *[]uint64
+	var lines []uint64
 	if offchip {
-		// Every off-chip access with an active lane probes at least one line.
 		c.lineOff = make([]int32, len(insts)+1)
-		c.lines = make([]uint64, 0, len(insts))
+		// The line stream grows in a pooled buffer and is copied out once at
+		// its exact size.
+		buf = lineBufs.Get().(*[]uint64)
+		lines = (*buf)[:0]
 	}
 	c.minTag = ^uint64(0)
 	for o := range insts {
@@ -266,8 +291,8 @@ func (p *program) buildContribution(resolver *memsys.Hierarchy, array trace.Arra
 		if offchip {
 			c.offchip++
 			c.transOff += int64(res.Transactions)
-			c.lines = append(c.lines, res.Lines...)
-			c.lineOff[o+1] = int32(len(c.lines))
+			lines = append(lines, res.Lines...)
+			c.lineOff[o+1] = int32(len(lines))
 			// The touched-tag interval covers every first-level line, not just
 			// forwarded ones, so the disjointness screen can reason per array
 			// regardless of which cache sits in front of the L2.
@@ -282,11 +307,21 @@ func (p *program) buildContribution(resolver *memsys.Hierarchy, array trace.Arra
 			}
 		}
 	}
+	if offchip {
+		c.lines = make([]uint64, len(lines))
+		copy(c.lines, lines)
+		*buf = lines[:0]
+		lineBufs.Put(buf)
+	}
 	if space == gpu.Global {
 		c.firstTouch(p.l2x)
 	}
 	return c
 }
+
+// lineBufs holds the growable line buffers of buildContribution, shared by
+// every predictor and worker.
+var lineBufs = sync.Pool{New: func() any { return new([]uint64) }}
 
 // firstTouch derives a global-space contribution's L2 tables from its line
 // stream: one L2 probe per line, and the first-touch lines (one per distinct
@@ -363,7 +398,18 @@ func (p *program) buildGroupSim(isConst bool, member []bool, contribs []*contrib
 		geom = p.cfg.Constant
 	}
 	pc := cache.New(geom)
-	seen := make(map[uint64]struct{})
+	// First-touch L2 tags are tracked in a bitset over the members' touched
+	// tag span, as in contribution.firstTouch.
+	minTag, maxTag := ^uint64(0), uint64(0)
+	for a, in := range member {
+		if c := contribs[a]; in && c.minTag <= c.maxTag {
+			minTag, maxTag = min(minTag, c.minTag), max(maxTag, c.maxTag)
+		}
+	}
+	var seen []uint64
+	if minTag <= maxTag {
+		seen = make([]uint64, (maxTag-minTag)/64+1)
+	}
 	for i := range p.refs {
 		r := &p.refs[i]
 		if !member[r.array] {
@@ -379,10 +425,12 @@ func (p *program) buildGroupSim(isConst bool, member []bool, contribs []*contrib
 				}
 				miss++
 				tag := p.l2x.Tag(ln)
-				if _, ok := seen[tag]; ok {
+				t := tag - minTag
+				w, bit := t/64, uint64(1)<<(t%64)
+				if seen[w]&bit != 0 {
 					continue
 				}
-				seen[tag] = struct{}{}
+				seen[w] |= bit
 				g.dramLines = append(g.dramLines, ln)
 				if s := p.l2x.Set(tag); g.setCounts[s] != ^uint16(0) {
 					g.setCounts[s]++
