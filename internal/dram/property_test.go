@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"gpuhms/internal/gpu"
+	"gpuhms/internal/queuing"
 )
 
 // Property: the event-driven system serves each bank FIFO — per-bank start
@@ -92,6 +93,14 @@ func TestAnalyzerTallyConsistency(t *testing.T) {
 	}
 }
 
+// utilization is a stream's ρ = τ_s/τ_a, capped as internal/queuing caps it.
+func utilization(st queuing.Stream) float64 {
+	if st.TauA == 0 {
+		return 0
+	}
+	return math.Min(st.TauS/st.TauA, queuing.MaxUtilization)
+}
+
 // Property: slowing every arrival down (scaling gaps up) can only reduce
 // per-bank utilization in the analyzer's streams.
 func TestSlowerArrivalsLowerUtilization(t *testing.T) {
@@ -108,7 +117,7 @@ func TestSlowerArrivalsLowerUtilization(t *testing.T) {
 		}
 		total := 0.0
 		for _, st := range bankStreams(a) {
-			total += st.Rho()
+			total += utilization(st)
 		}
 		return total
 	}

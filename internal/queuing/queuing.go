@@ -64,23 +64,8 @@ type Stream struct {
 	N     int64 // number of requests observed
 }
 
-// Ca returns the coefficient of variation of the inter-arrival times
-// (Eq 10).
-func (s Stream) Ca() float64 { return cov(s.SigmaA, s.TauA) }
-
 // Cs returns the coefficient of variation of the service times (Eq 10).
 func (s Stream) Cs() float64 { return cov(s.SigmaS, s.TauS) }
-
-// Lambda returns the average arrival rate λ = 1/τ_a.
-func (s Stream) Lambda() float64 {
-	if s.TauA == 0 {
-		return 0
-	}
-	return 1 / s.TauA
-}
-
-// Rho returns the server utilization ρ = τ_s/τ_a, capped at MaxUtilization.
-func (s Stream) Rho() float64 { return utilization(s.TauS, s.TauA) }
 
 // cov is Eq 10's coefficient of variation σ/τ, 0 when τ is.
 func cov(sigma, tau float64) float64 {

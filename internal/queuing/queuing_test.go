@@ -9,17 +9,18 @@ import (
 
 func TestStreamDerivedQuantities(t *testing.T) {
 	s := Stream{TauA: 10, SigmaA: 5, TauS: 4, SigmaS: 2, N: 100}
-	if got := s.Ca(); got != 0.5 {
-		t.Errorf("Ca = %g", got)
+	if got := cov(s.SigmaA, s.TauA); got != 0.5 {
+		t.Errorf("c_a = %g", got)
 	}
 	if got := s.Cs(); got != 0.5 {
 		t.Errorf("Cs = %g", got)
 	}
-	if got := s.Lambda(); got != 0.1 {
-		t.Errorf("Lambda = %g", got)
+	// λ = 1/τ_a is the utilization of a server with unit service time.
+	if got := utilization(1, s.TauA); got != 0.1 {
+		t.Errorf("lambda = %g", got)
 	}
-	if got := s.Rho(); got != 0.4 {
-		t.Errorf("Rho = %g", got)
+	if got := utilization(s.TauS, s.TauA); got != 0.4 {
+		t.Errorf("rho = %g", got)
 	}
 }
 
@@ -27,8 +28,8 @@ func TestRhoCap(t *testing.T) {
 	// Overloaded server: ρ computed > 1 must be capped below 1 so the
 	// congestion term stays finite.
 	s := Stream{TauA: 1, TauS: 10, N: 10}
-	if rho := s.Rho(); rho != MaxUtilization {
-		t.Errorf("Rho = %g, want cap %g", rho, MaxUtilization)
+	if rho := utilization(s.TauS, s.TauA); rho != MaxUtilization {
+		t.Errorf("rho = %g, want cap %g", rho, MaxUtilization)
 	}
 	if w := QueuingDelay(s, PaperKingman); math.IsInf(w, 1) || math.IsNaN(w) {
 		t.Errorf("overloaded delay = %g", w)
