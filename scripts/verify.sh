@@ -2,8 +2,9 @@
 # verify.sh — the repository's verification gate: vet (plus staticcheck when
 # installed), gofmt, build, a guard keeping the paper harness
 # (internal/experiments, microbench, baseline) out of hmsserved and hmsplace,
-# a guard keeping advisor.PredictorContext the one profiling path of serving
-# code, a guard keeping advisor.Search the one evaluation loop of hmsplace, a
+# a guard keeping the advisor the one profiling path of serving code (registry
+# requests in the service and the fleet through advisor.KernelPredictor), a
+# guard keeping advisor.Search the one evaluation loop of hmsplace, a
 # guard keeping internal/memsys the one writer of the memory-event counters
 # shared by the model and the simulator, a guard keeping one DRAM model per
 # side (c_a defined once, in dram.Analyzer; no Mapping setting), a guard
@@ -12,8 +13,8 @@
 # test of the perfbench benchmark module, the full test suite under the race
 # detector, the placement-space walk and resolution-kernel oracle fuzz seeds
 # under race, one-pass benchmark smokes of parallel ranking, chiplet
-# exhaustive search, delta evaluation, contribution builds and simulator
-# runs, the wall-clock bounds the race pass
+# exhaustive search, the memoized profiling front door, delta evaluation,
+# contribution builds and simulator runs, the wall-clock bounds the race pass
 # skips (run here without -race), a short
 # smoke of the observability no-op-overhead contract (the disabled recorder
 # must add zero allocations), a short chaos soak (scripts/soak.sh runs the
@@ -73,10 +74,11 @@ if [ -n "$harness" ]; then
 fi
 
 echo "== one profiling path for serving code"
-# Serving code profiles a sample placement through advisor.PredictorContext
-# only; core.NewPredictor is called by the advisor, the facade, the model
-# itself and the paper harness (internal/train, internal/experiments), and
-# hmsplace reaches the simulator through the advisor, never directly.
+# Serving code profiles a sample placement through the advisor only
+# (PredictorContext, KernelPredictor); core.NewPredictor is called by the
+# advisor, the facade, the model itself and the paper harness
+# (internal/train, internal/experiments), and hmsplace reaches the simulator
+# through the advisor, never directly.
 stray=$(git grep --untracked -l 'core\.NewPredictor(' -- '*.go' ':!*_test.go' ':!perfbench' \
     ':!internal/advisor' ':!internal/train' ':!internal/experiments' ':!internal/core' ':!gpuhms.go' || true)
 if [ -n "$stray" ]; then
@@ -86,6 +88,16 @@ if [ -n "$stray" ]; then
 fi
 if git grep --untracked -q '"gpuhms/internal/sim"' -- 'cmd/hmsplace/*.go' ':!*_test.go'; then
     echo "verify: cmd/hmsplace imports gpuhms/internal/sim; profile through the advisor" >&2
+    exit 1
+fi
+# The service and the fleet serve registry kernels, so they profile through
+# advisor.KernelPredictor, whose memo keeps one profile per (kernel, scale,
+# sample); PredictorContext and RankPlacements profile on every call.
+direct=$(git grep --untracked -n -E 'PredictorContext\(|RankPlacements\(' -- \
+    'internal/service/*.go' 'internal/fleet/*.go' ':!*_test.go' || true)
+if [ -n "$direct" ]; then
+    echo "verify: serving code profiles a registry kernel outside advisor.KernelPredictor:" >&2
+    echo "$direct" >&2
     exit 1
 fi
 
@@ -199,6 +211,11 @@ echo "== exhaustive search bench smoke"
 # (remote variants reuse their local projection's merge) and on k80 (no
 # remote spaces, no merge memo).
 go test ./internal/advisor/ -run '^$' -bench 'BenchmarkSearchExhaustive' -benchtime 1x -benchmem -count=1
+
+echo "== profile memo bench smoke"
+# The registry front door on k80 spmv: a cold advisor profiles, a warm one
+# serves the profile from its memo.
+go test ./internal/advisor/ -run '^$' -bench 'BenchmarkKernelPredictor' -benchtime 1x -benchmem -count=1
 
 echo "== delta eval bench smoke"
 # Delta and full evaluation, and one Eq 1 assembly (the queuing fixed point
