@@ -453,10 +453,6 @@ func (s *Server) doCompare(reqCtx context.Context, req *CompareRequest) (*Compar
 func (s *Server) runRank(ctx context.Context, adv *advisor.Advisor, req *RankRequest) (resp *RankResponse, err error) {
 	defer hmserr.Guard(&err)
 	s.col.Add(obs.MetricServiceSearchesTotal, 1)
-	tr, sample, pr, err := adv.KernelPredictor(ctx, req.Kernel, req.Scale, req.Sample)
-	if err != nil {
-		return nil, err
-	}
 	parallelism := s.opt.Parallelism
 	if req.Parallelism > 0 {
 		parallelism = req.Parallelism
@@ -464,6 +460,10 @@ func (s *Server) runRank(ctx context.Context, adv *advisor.Advisor, req *RankReq
 	// The request strategy was canonicalized at decode and defaulted by the
 	// rank handler; ParseStrategy here only rebuilds the Strategy value.
 	strat, err := advisor.ParseStrategy(req.Strategy)
+	if err != nil {
+		return nil, err
+	}
+	tr, sample, pr, err := adv.KernelPredictor(ctx, req.Kernel, req.Scale, req.Sample)
 	if err != nil {
 		return nil, err
 	}
